@@ -103,7 +103,7 @@ void print_model_table(const char* title, const std::string& src,
 void print_table() {
   bench::print_header(
       "E7c: single-model parallel exploration",
-      "level-synchronous parallel BFS with sharded visited set and shared "
+      "level-synchronous parallel BFS with striped visited set and shared "
       "hash-consing; workers=1 measures the serial-fallback overhead");
   std::printf("hardware_concurrency = %u\n\n",
               std::thread::hardware_concurrency());

@@ -25,27 +25,7 @@ std::uint64_t hash_events(std::span<const Event> es) {
 
 }  // namespace
 
-namespace {
-constexpr ActionId kNoAction = static_cast<ActionId>(-1);
-constexpr EventSetId kNoEventSet = static_cast<EventSetId>(-1);
-}  // namespace
-
-ActionTable::ActionTable() {
-  // ActionId 0: the empty (idling) action.
-  actions_.push_back({});
-  const std::uint64_t h = hash_uses(actions_[0]);
-  shards_[h % kIndexShards].buckets[h].push_back(0);
-}
-
-ActionId ActionTable::find_in_bucket(
-    const IndexShard& shard, std::uint64_t h,
-    const std::vector<ResourceUse>& uses) const {
-  const auto it = shard.buckets.find(h);
-  if (it == shard.buckets.end()) return kNoAction;
-  for (ActionId id : it->second)
-    if (actions_[id] == uses) return id;
-  return kNoAction;
-}
+ActionTable::ActionTable() { intern({}); }  // ActionId 0: the idle action
 
 ActionId ActionTable::intern(std::vector<ResourceUse> uses) {
   std::sort(uses.begin(), uses.end());
@@ -60,27 +40,11 @@ ActionId ActionTable::intern(std::vector<ResourceUse> uses) {
   }
   uses.resize(w);
 
-  const std::uint64_t h = hash_uses(uses);
-  IndexShard& shard = shards_[h % kIndexShards];
-
-  if (!shared_) {
-    if (const ActionId hit = find_in_bucket(shard, h, uses); hit != kNoAction)
-      return hit;
-    const ActionId id = static_cast<ActionId>(actions_.push_back(std::move(uses)));
-    shard.buckets[h].push_back(id);
-    return id;
-  }
-
-  std::lock_guard shard_lk(shard.mu);
-  if (const ActionId hit = find_in_bucket(shard, h, uses); hit != kNoAction)
-    return hit;
-  ActionId id;
-  {
-    std::lock_guard append_lk(append_mu_);
-    id = static_cast<ActionId>(actions_.push_back(std::move(uses)));
-  }
-  shard.buckets[h].push_back(id);
-  return id;
+  return index_.intern(
+      hash_uses(uses), [&](ActionId id) { return actions_[id] == uses; },
+      [&] {
+        return static_cast<ActionId>(actions_.push_back(std::move(uses)));
+      });
 }
 
 bool ActionTable::disjoint(ActionId a, ActionId b) const {
@@ -132,33 +96,16 @@ bool ActionTable::preempts(ActionId a, ActionId b) const {
   return strictly_greater;
 }
 
-EventSetTable::EventSetTable() {
-  sets_.push_back({});
-  index_[hash_events(sets_[0])].push_back(0);
-}
-
-EventSetId EventSetTable::find_existing(
-    std::uint64_t h, const std::vector<Event>& events) const {
-  const auto it = index_.find(h);
-  if (it == index_.end()) return kNoEventSet;
-  for (EventSetId id : it->second)
-    if (sets_[id] == events) return id;
-  return kNoEventSet;
-}
+EventSetTable::EventSetTable() { intern({}); }
 
 EventSetId EventSetTable::intern(std::vector<Event> events) {
   std::sort(events.begin(), events.end());
   events.erase(std::unique(events.begin(), events.end()), events.end());
-  const std::uint64_t h = hash_events(events);
-  // Event sets are interned during translation, not exploration; a single
-  // mutex in shared mode is plenty.
-  std::unique_lock<std::mutex> lk;
-  if (shared_) lk = std::unique_lock(mu_);
-  if (const EventSetId hit = find_existing(h, events); hit != kNoEventSet)
-    return hit;
-  const EventSetId id = static_cast<EventSetId>(sets_.push_back(std::move(events)));
-  index_[h].push_back(id);
-  return id;
+  return index_.intern(
+      hash_events(events), [&](EventSetId id) { return sets_[id] == events; },
+      [&] {
+        return static_cast<EventSetId>(sets_.push_back(std::move(events)));
+      });
 }
 
 bool EventSetTable::contains(EventSetId id, Event e) const {

@@ -8,16 +8,14 @@
 // identified by a u32.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "acsr/ids.hpp"
 #include "util/chunked_vector.hpp"
+#include "util/flat_set.hpp"
 
 namespace aadlsched::acsr {
 
@@ -57,30 +55,20 @@ class ActionTable {
 
   std::size_t size() const { return actions_.size(); }
 
-  /// Approximate footprint (resource-use vectors + index), for the
+  /// Footprint of the resource-use vectors and the index slots, for the
   /// resource-governance memory estimate.
   std::size_t approx_bytes() const {
-    return actions_.size() * (sizeof(std::vector<ResourceUse>) + 64);
+    return actions_.size() * sizeof(std::vector<ResourceUse>) +
+           index_.approx_bytes();
   }
 
   /// See TermTable::set_shared_mode: locked interning for the parallel
   /// explorer (Par3 merges intern new combined actions on the hot path).
-  void set_shared_mode(bool shared) { shared_ = shared; }
+  void set_shared_mode(bool shared) { index_.set_shared(shared); }
 
  private:
-  static constexpr std::size_t kIndexShards = 16;
-  struct IndexShard {
-    std::mutex mu;
-    std::unordered_map<std::uint64_t, std::vector<ActionId>> buckets;
-  };
-
-  ActionId find_in_bucket(const IndexShard& shard, std::uint64_t h,
-                          const std::vector<ResourceUse>& uses) const;
-
   util::ChunkedVector<std::vector<ResourceUse>, 8> actions_;
-  std::array<IndexShard, kIndexShards> shards_;
-  std::mutex append_mu_;
-  bool shared_ = false;
+  util::HashIndex index_;
 };
 
 /// Interned sorted sets of event labels, for the restriction operator.
@@ -92,17 +80,15 @@ class EventSetTable {
   const std::vector<Event>& events(EventSetId id) const { return sets_[id]; }
   bool contains(EventSetId id, Event e) const;
   std::size_t size() const { return sets_.size(); }
+  std::size_t approx_bytes() const {
+    return sets_.size() * sizeof(std::vector<Event>) + index_.approx_bytes();
+  }
 
-  void set_shared_mode(bool shared) { shared_ = shared; }
+  void set_shared_mode(bool shared) { index_.set_shared(shared); }
 
  private:
-  EventSetId find_existing(std::uint64_t h,
-                           const std::vector<Event>& events) const;
-
   util::ChunkedVector<std::vector<Event>, 8> sets_;
-  std::unordered_map<std::uint64_t, std::vector<EventSetId>> index_;
-  mutable std::mutex mu_;
-  bool shared_ = false;
+  util::HashIndex index_;
 };
 
 }  // namespace aadlsched::acsr

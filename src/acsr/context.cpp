@@ -3,6 +3,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "util/hash.hpp"
+
 namespace aadlsched::acsr {
 
 OpenTermId Context::push_open(OpenTermNode n) {
@@ -91,14 +93,14 @@ OpenTermId Context::o_cond(CondId guard, OpenTermId body) {
 }
 
 DefId Context::declare(std::string_view name) {
-  if (auto it = def_index_.find(std::string(name)); it != def_index_.end())
-    return it->second;
-  const DefId id = static_cast<DefId>(defs_.size());
-  Definition d;
-  d.name = std::string(name);
-  defs_.push_back(std::move(d));
-  def_index_.emplace(std::string(name), id);
-  return id;
+  return def_index_.intern(
+      util::fnv1a(name), [&](DefId id) { return defs_[id].name == name; },
+      [&] {
+        Definition d;
+        d.name = std::string(name);
+        defs_.push_back(std::move(d));
+        return static_cast<DefId>(defs_.size() - 1);
+      });
 }
 
 void Context::define(DefId id, Definition def) {
@@ -116,9 +118,10 @@ DefId Context::define(Definition def) {
 }
 
 std::optional<DefId> Context::find_definition(std::string_view name) const {
-  auto it = def_index_.find(std::string(name));
-  if (it == def_index_.end()) return std::nullopt;
-  return it->second;
+  const DefId id = def_index_.find(
+      util::fnv1a(name), [&](DefId d) { return defs_[d].name == name; });
+  if (id == util::kFlatEmptySlot) return std::nullopt;
+  return id;
 }
 
 TermId Context::instantiate(OpenTermId open_id,
@@ -199,14 +202,9 @@ TermId Context::instantiate(OpenTermId open_id,
 }
 
 TermId Context::unfold(TermId call_term) {
-  UnfoldShard& shard =
-      unfold_shards_[(call_term * 0x9e3779b9u) >> 28 & (kUnfoldShards - 1)];
-  if (shared_) {
-    std::lock_guard lk(shard.mu);
-    if (auto it = shard.memo.find(call_term); it != shard.memo.end())
-      return it->second;
-  } else if (auto it = shard.memo.find(call_term); it != shard.memo.end()) {
-    return it->second;
+  {
+    const auto lk = terms_.publish_lock();
+    if (const TermId* hit = unfold_memo_.find(call_term)) return *hit;
   }
   const TermNode& node = terms_.node(call_term);
   assert(node.kind == TermKind::Call);
@@ -219,32 +217,21 @@ TermId Context::unfold(TermId call_term) {
   for (std::size_t i = 0; i < raw.size(); ++i)
     params[i] = static_cast<ParamValue>(raw[i]);
   const OpenTermId body = def.body;
-  // Instantiation happens outside the shard lock: interning makes it
+  // Instantiation happens outside the memo lock: interning makes it
   // idempotent, so two workers racing on the same call reach the same
   // TermId and the second emplace is a no-op.
   const TermId ground = instantiate(body, params);
-  if (shared_) {
-    std::lock_guard lk(shard.mu);
-    shard.memo.emplace(call_term, ground);
-  } else {
-    shard.memo.emplace(call_term, ground);
-  }
+  const auto lk = terms_.publish_lock();
+  unfold_memo_.emplace(call_term, ground);
   return ground;
 }
 
 std::size_t Context::approx_bytes() const {
-  // Rough per-entry constants stand in for hash-index and allocator
-  // overhead; the term table (nodes + payload arena) dominates on any
-  // non-trivial exploration, so precision elsewhere does not matter.
-  std::size_t bytes = terms_.approx_bytes() + actions_.approx_bytes();
-  bytes += exprs_.expr_count() * (sizeof(ExprNode) + 48);
-  bytes += (resources_.size() + events_.size()) * 64;
-  bytes += open_terms_.size() * sizeof(OpenTermNode);
-  bytes += defs_.size() * sizeof(Definition);
-  // Unfold memo: one map entry per distinct Call state seen.
-  for (std::size_t s = 0; s < kUnfoldShards; ++s)
-    bytes += unfold_shards_[s].memo.size() * 48;
-  return bytes;
+  return terms_.approx_bytes() + actions_.approx_bytes() +
+         event_sets_.approx_bytes() + exprs_.approx_bytes() +
+         resources_.approx_bytes() + events_.approx_bytes() +
+         open_terms_.size() * sizeof(OpenTermNode) +
+         defs_.size() * sizeof(Definition) + unfold_memo_.approx_bytes();
 }
 
 void Context::set_shared_mode(bool shared) {

@@ -7,26 +7,26 @@
 //
 // A Context is single-threaded while a model is being built. For the
 // parallel explorer it can be switched into *shared mode*
-// (set_shared_mode / SharedModeGuard): every hash-cons table then takes
-// striped locks on intern so multiple workers may extend the term DAG
-// concurrently. Sweeps over independent model variants still use one
-// Context per job (they are cheap to create).
+// (set_shared_mode / SharedModeGuard): every hash-cons table indexes its
+// entries with a util::HashIndex, and in shared mode that index takes its
+// stripe lock on each probe and its publish lock on each append, so
+// multiple workers may extend the term DAG concurrently. The unfold memo
+// shares the term index's publish lock. Sweeps over independent model
+// variants still use one Context per job (they are cheap to create).
 #pragma once
 
 #include <deque>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "acsr/action.hpp"
 #include "acsr/expr.hpp"
 #include "acsr/open_term.hpp"
 #include "acsr/term.hpp"
+#include "util/flat_set.hpp"
 #include "util/interner.hpp"
 
 namespace aadlsched::acsr {
@@ -82,7 +82,6 @@ class Context {
   DefId define(Definition def);
 
   const Definition& definition(DefId id) const { return defs_[id]; }
-  Definition& definition_mut(DefId id) { return defs_[id]; }
   std::optional<DefId> find_definition(std::string_view name) const;
   std::size_t definition_count() const { return defs_.size(); }
 
@@ -95,8 +94,9 @@ class Context {
   TermId unfold(TermId call_term);
 
   // --- resource governance ---------------------------------------------
-  /// Approximate bytes held by the hash-cons tables (terms, actions,
-  /// expressions, interners). Dominated by the term table during
+  /// Bytes held by the hash-cons tables (terms, actions, event sets,
+  /// expressions, interners) with their index slots, the open terms and
+  /// the unfold memo. Dominated by the term table during
   /// exploration; used with the visited-set footprint to enforce
   /// RunBudget::memory_bytes (util/budget.hpp). Call while no worker is
   /// appending (the explorers probe at expansion/level boundaries).
@@ -124,12 +124,6 @@ class Context {
   };
 
  private:
-  static constexpr std::size_t kUnfoldShards = 16;
-  struct UnfoldShard {
-    std::mutex mu;
-    std::unordered_map<TermId, TermId> memo;
-  };
-
   OpenTermId push_open(OpenTermNode n);
 
   util::Interner resources_;
@@ -140,9 +134,8 @@ class Context {
   TermTable terms_;
   std::deque<OpenTermNode> open_terms_;
   std::deque<Definition> defs_;
-  std::unordered_map<std::string, DefId> def_index_;
-  std::unique_ptr<UnfoldShard[]> unfold_shards_ =
-      std::make_unique<UnfoldShard[]>(kUnfoldShards);
+  util::HashIndex def_index_;  // by name
+  util::FlatIdMap<TermId> unfold_memo_;  // Call term -> instantiated body
   bool shared_ = false;
 };
 

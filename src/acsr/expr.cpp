@@ -33,30 +33,23 @@ std::int64_t clamp32(std::int64_t v) {
 
 ExprTable::ExprTable() {
   // CondId 0 is reserved for the trivially-true guard.
-  conds_.push_back(CondNode{CondKind::True, 0, 0});
-  cond_index_[hash_cond(conds_[0])].push_back(0);
+  intern_cond(CondNode{CondKind::True, 0, 0});
 }
 
 ExprId ExprTable::intern_expr(const ExprNode& n) {
-  const std::uint64_t h = hash_expr(n);
-  auto& bucket = expr_index_[h];
-  for (ExprId id : bucket)
-    if (exprs_[id] == n) return id;
-  const ExprId id = static_cast<ExprId>(exprs_.size());
-  exprs_.push_back(n);
-  bucket.push_back(id);
-  return id;
+  return expr_index_.intern(
+      hash_expr(n), [&](ExprId id) { return exprs_[id] == n; }, [&] {
+        exprs_.push_back(n);
+        return static_cast<ExprId>(exprs_.size() - 1);
+      });
 }
 
 CondId ExprTable::intern_cond(const CondNode& n) {
-  const std::uint64_t h = hash_cond(n);
-  auto& bucket = cond_index_[h];
-  for (CondId id : bucket)
-    if (conds_[id] == n) return id;
-  const CondId id = static_cast<CondId>(conds_.size());
-  conds_.push_back(n);
-  bucket.push_back(id);
-  return id;
+  return cond_index_.intern(
+      hash_cond(n), [&](CondId id) { return conds_[id] == n; }, [&] {
+        conds_.push_back(n);
+        return static_cast<CondId>(conds_.size() - 1);
+      });
 }
 
 ExprId ExprTable::constant(std::int32_t v) {

@@ -13,10 +13,10 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "acsr/ids.hpp"
+#include "util/flat_set.hpp"
 
 namespace aadlsched::acsr {
 
@@ -91,6 +91,10 @@ class ExprTable {
                           std::span<const std::string> param_names) const;
 
   std::size_t expr_count() const { return exprs_.size(); }
+  std::size_t approx_bytes() const {
+    return exprs_.size() * sizeof(ExprNode) + conds_.size() * sizeof(CondNode) +
+           expr_index_.approx_bytes() + cond_index_.approx_bytes();
+  }
 
  private:
   ExprId intern_expr(const ExprNode& n);
@@ -98,8 +102,8 @@ class ExprTable {
 
   std::vector<ExprNode> exprs_;
   std::vector<CondNode> conds_;
-  std::unordered_map<std::uint64_t, std::vector<ExprId>> expr_index_;
-  std::unordered_map<std::uint64_t, std::vector<CondId>> cond_index_;
+  util::HashIndex expr_index_;
+  util::HashIndex cond_index_;
 };
 
 }  // namespace aadlsched::acsr

@@ -703,6 +703,11 @@ class GroundParser {
         children.push_back(next);
       }
       if (!expect(Tok::RParen, "')'")) return kInvalidTerm;
+      if (!ctx_.terms().fits_payload(
+              is_choice ? TermKind::Choice : TermKind::Parallel, children)) {
+        diags_.error(cur().loc, too_wide());
+        return kInvalidTerm;
+      }
       return is_choice ? ctx_.terms().choice(std::move(children))
                        : ctx_.terms().parallel(std::move(children));
     }
@@ -775,6 +780,10 @@ class GroundParser {
       } while (accept(Tok::Comma));
       if (!expect(Tok::RBracket, "']'")) return kInvalidTerm;
     }
+    if (args.size() > TermTable::kMaxPayload) {
+      diags_.error(name.loc, too_wide());
+      return kInvalidTerm;
+    }
     if (args.size() != ctx_.definition(*def).params.size()) {
       diags_.error(name.loc,
                    "call of '" + std::string(name.text) + "' with " +
@@ -784,6 +793,12 @@ class GroundParser {
       return kInvalidTerm;
     }
     return ctx_.terms().call(*def, args);
+  }
+
+  static std::string too_wide() {
+    return "ground term exceeds the " +
+           std::to_string(TermTable::kMaxPayload) +
+           "-word term payload limit";
   }
 
   Context& ctx_;

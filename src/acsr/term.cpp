@@ -22,66 +22,36 @@ std::uint64_t hash_node(const TermNode& n,
 
 }  // namespace
 
-TermTable::TermTable() {
-  // TermId 0 is NIL.
-  nodes_.push_back(TermNode{});
-  const std::uint64_t h = hash_node(nodes_[0], {});
-  shards_[h % kIndexShards].buckets[h].push_back(kNil);
-}
+TermTable::TermTable() { intern(TermNode{}, {}); }  // TermId 0 is NIL
 
 std::span<const std::uint32_t> TermTable::payload(TermId id) const {
   const TermNode& n = nodes_[id];
   return arena_.view(n.extra, n.extra_len);
 }
 
-TermId TermTable::find_in_bucket(const IndexShard& shard, std::uint64_t h,
-                                 const TermNode& proto,
-                                 std::span<const std::uint32_t> payload) const {
-  const auto it = shard.buckets.find(h);
-  if (it == shard.buckets.end()) return kInvalidTerm;
-  for (TermId id : it->second) {
-    const TermNode& n = nodes_[id];
-    if (n.kind == proto.kind && n.flag == proto.flag && n.a == proto.a &&
-        n.b == proto.b && n.c == proto.c && n.extra_len == proto.extra_len &&
-        std::equal(payload.begin(), payload.end(),
-                   arena_.view(n.extra, n.extra_len).begin()))
-      return id;
-  }
-  return kInvalidTerm;
+bool TermTable::fits_payload(TermKind kind,
+                             std::span<const TermId> children) const {
+  std::size_t width = 0;
+  for (const TermId t : children)
+    width += nodes_[t].kind == kind ? nodes_[t].extra_len : 1;
+  return width <= kMaxPayload;
 }
 
 TermId TermTable::intern(TermNode proto,
                          std::span<const std::uint32_t> payload) {
   proto.extra_len = static_cast<std::uint32_t>(payload.size());
-  const std::uint64_t h = hash_node(proto, payload);
-  IndexShard& shard = shards_[h % kIndexShards];
-
-  if (!shared_) {
-    if (const TermId hit = find_in_bucket(shard, h, proto, payload);
-        hit != kInvalidTerm)
-      return hit;
+  const auto same = [&](TermId id) {
+    const TermNode& n = nodes_[id];
+    return n.kind == proto.kind && n.flag == proto.flag && n.a == proto.a &&
+           n.b == proto.b && n.c == proto.c &&
+           n.extra_len == proto.extra_len &&
+           std::equal(payload.begin(), payload.end(),
+                      arena_.view(n.extra, n.extra_len).begin());
+  };
+  return index_.intern(hash_node(proto, payload), same, [&] {
     proto.extra = static_cast<std::uint32_t>(arena_.append_span(payload));
-    const TermId id = static_cast<TermId>(nodes_.push_back(proto));
-    shard.buckets[h].push_back(id);
-    return id;
-  }
-
-  // Shared mode: equal protos hash to the same shard, so holding the shard
-  // lock across probe + publish makes the dedup atomic; the global append
-  // lock serializes storage growth across shards. Lock order is always
-  // shard -> append.
-  std::lock_guard shard_lk(shard.mu);
-  if (const TermId hit = find_in_bucket(shard, h, proto, payload);
-      hit != kInvalidTerm)
-    return hit;
-  TermId id;
-  {
-    std::lock_guard append_lk(append_mu_);
-    proto.extra = static_cast<std::uint32_t>(arena_.append_span(payload));
-    id = static_cast<TermId>(nodes_.push_back(proto));
-  }
-  shard.buckets[h].push_back(id);
-  return id;
+    return static_cast<TermId>(nodes_.push_back(proto));
+  });
 }
 
 TermId TermTable::act(ActionId action, TermId cont) {

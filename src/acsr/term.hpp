@@ -9,18 +9,19 @@
 //     keeps duplicates (P || P is not P);
 //   * a Scope whose timeout reached 0 collapses to its timeout handler;
 // which canonicalizes semantically-equal states and measurably shrinks the
-// explored space (see bench_statespace).
+// explored space (see bench_statespace). Nodes are found by content through
+// a util::HashIndex, whose stripe and publish locks are the only locks of
+// the table and are taken only in shared mode.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "acsr/ids.hpp"
 #include "util/chunked_vector.hpp"
+#include "util/flat_set.hpp"
 
 namespace aadlsched::acsr {
 
@@ -63,6 +64,8 @@ struct ScopeParts {
 };
 
 class TermTable {
+  using Arena = util::ChunkedVector<std::uint32_t, 14>;
+
  public:
   TermTable();
 
@@ -86,39 +89,38 @@ class TermTable {
 
   std::size_t size() const { return nodes_.size(); }
 
-  /// Approximate footprint (nodes + payload arena + hash index overhead),
-  /// for the resource-governance memory estimate (util/budget.hpp).
+  /// Footprint of the nodes, the payload arena and the index slots, for
+  /// the resource-governance memory estimate (util/budget.hpp).
   std::size_t approx_bytes() const {
-    return nodes_.size() * (sizeof(TermNode) + 48) +
-           arena_.size() * sizeof(std::uint32_t);
+    return nodes_.size() * sizeof(TermNode) +
+           arena_.size() * sizeof(std::uint32_t) + index_bytes();
   }
+  std::size_t index_bytes() const { return index_.approx_bytes(); }
 
-  /// In shared mode every intern takes its index-shard lock (and a global
-  /// append lock on a miss) so workers of the parallel explorer can extend
-  /// the term DAG concurrently. Outside shared mode construction is
-  /// lock-free single-threaded, as before. Toggle only while quiescent.
-  void set_shared_mode(bool shared) { shared_ = shared; }
+  /// Longest payload a node can carry (one arena chunk). Untrusted input
+  /// (checkpoints, parsed ground terms) checks it before constructing.
+  static constexpr std::size_t kMaxPayload = Arena::kChunkSize;
+  /// Whether choice()/parallel() of `children` (kind Choice or Parallel)
+  /// fits in one node once nested terms of the same kind are flattened.
+  bool fits_payload(TermKind kind, std::span<const TermId> children) const;
+
+  /// In shared mode the index locks every intern (see util::HashIndex), so
+  /// workers of the parallel explorer can extend the term DAG
+  /// concurrently. Toggle only while quiescent.
+  void set_shared_mode(bool shared) { index_.set_shared(shared); }
+  /// Held around the Context's unfold memo, so the memo is locked exactly
+  /// when the term table is shared.
+  std::unique_lock<std::mutex> publish_lock() { return index_.publish_lock(); }
 
  private:
-  static constexpr std::size_t kIndexShards = 64;
-  struct IndexShard {
-    std::mutex mu;
-    std::unordered_map<std::uint64_t, std::vector<TermId>> buckets;
-  };
-
   TermId intern(TermNode proto, std::span<const std::uint32_t> payload);
-  TermId find_in_bucket(const IndexShard& shard, std::uint64_t h,
-                        const TermNode& proto,
-                        std::span<const std::uint32_t> payload) const;
 
   // Chunked so element addresses are stable: readers chase TermIds while
   // writers append (see chunked_vector.hpp for the synchronization
   // contract).
   util::ChunkedVector<TermNode, 13> nodes_;
-  util::ChunkedVector<std::uint32_t, 14> arena_;
-  std::array<IndexShard, kIndexShards> shards_;
-  std::mutex append_mu_;
-  bool shared_ = false;
+  Arena arena_;
+  util::HashIndex index_;
 };
 
 }  // namespace aadlsched::acsr

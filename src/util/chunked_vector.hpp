@@ -8,12 +8,12 @@
 //   * an element's address never changes once written, and
 //   * a reader that holds a published index never touches memory that a
 //     concurrent append is writing.
-// Appends themselves are NOT synchronized here; tables serialize them with
-// their own append mutex when running in shared mode. The synchronization
-// contract is the usual hash-cons one: an index only reaches a reader
-// through a lock-protected structure (an index shard bucket, the explorer's
-// level barrier), which establishes the happens-before edge for the chunk
-// contents.
+// Appends themselves are NOT synchronized here; in shared mode a table
+// appends only from inside util::HashIndex::intern, which holds the index's
+// publish lock. The synchronization contract is the usual hash-cons one: an
+// index only reaches a reader through a lock-protected structure (the
+// HashIndex stripe the id was published in, the explorer's level barrier),
+// which establishes the happens-before edge for the chunk contents.
 #pragma once
 
 #include <cstddef>

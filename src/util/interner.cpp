@@ -1,25 +1,22 @@
 #include "util/interner.hpp"
 
+#include "util/hash.hpp"
+
 namespace aadlsched::util {
 
 Interner::Interner() { intern(""); }
 
 Symbol Interner::intern(std::string_view s) {
-  std::unique_lock<std::mutex> lk;
-  if (shared_) lk = std::unique_lock(mu_);
-  if (auto it = index_.find(s); it != index_.end()) return it->second;
-  const Symbol id = static_cast<Symbol>(storage_.size());
-  storage_.emplace_back(s);
-  index_.emplace(std::string_view{storage_.back()}, id);
-  return id;
+  return index_.intern(
+      fnv1a(s), [&](Symbol id) { return storage_[id] == s; },
+      [&] { return static_cast<Symbol>(storage_.push_back(std::string(s))); });
 }
 
 bool Interner::lookup(std::string_view s, Symbol& out) const {
-  std::unique_lock<std::mutex> lk;
-  if (shared_) lk = std::unique_lock(mu_);
-  auto it = index_.find(s);
-  if (it == index_.end()) return false;
-  out = it->second;
+  const Symbol hit =
+      index_.find(fnv1a(s), [&](Symbol id) { return storage_[id] == s; });
+  if (hit == kFlatEmptySlot) return false;
+  out = hit;
   return true;
 }
 

@@ -6,11 +6,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+
+#include "util/chunked_vector.hpp"
+#include "util/flat_set.hpp"
 
 namespace aadlsched::util {
 
@@ -29,27 +29,25 @@ class Interner {
   bool lookup(std::string_view s, Symbol& out) const;
 
   /// Resolve a symbol back to its string. The reference stays valid for the
-  /// lifetime of the interner (storage is a deque; never reallocated).
-  const std::string& str(Symbol s) const {
-    if (shared_) {
-      std::lock_guard lk(mu_);
-      return storage_.at(s);
-    }
-    return storage_.at(s);
-  }
+  /// lifetime of the interner (storage is chunked; never reallocated), and
+  /// reading it needs no lock even while another thread interns.
+  const std::string& str(Symbol s) const { return storage_[s]; }
 
   std::size_t size() const { return storage_.size(); }
 
-  /// Shared mode guards intern/lookup/str with a mutex so the parallel
+  /// Footprint of the string slots and the index.
+  std::size_t approx_bytes() const {
+    return storage_.size() * sizeof(std::string) + index_.approx_bytes();
+  }
+
+  /// Shared mode locks intern/lookup in the index so the parallel
   /// explorer's workers may resolve names concurrently. Names are all
-  /// interned during translation, so this lock is cold during exploration.
-  void set_shared_mode(bool shared) { shared_ = shared; }
+  /// interned during translation, so the lock is cold during exploration.
+  void set_shared_mode(bool shared) { index_.set_shared(shared); }
 
  private:
-  std::deque<std::string> storage_;
-  std::unordered_map<std::string_view, Symbol> index_;
-  mutable std::mutex mu_;
-  bool shared_ = false;
+  ChunkedVector<std::string, 8, 1u << 12> storage_;
+  HashIndex index_;
 };
 
 }  // namespace aadlsched::util

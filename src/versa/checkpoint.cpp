@@ -435,6 +435,11 @@ std::optional<RestoredCheckpoint> parse_checkpoint(std::string_view text,
     }
     return tmap[static_cast<std::size_t>(idx)];
   };
+  const auto oversized = [](std::uint64_t i) {
+    return "term " + std::to_string(i) + " exceeds the " +
+           std::to_string(acsr::TermTable::kMaxPayload) +
+           "-word term payload limit";
+  };
   for (std::uint64_t i = 0; r.ok() && i < nterms; ++i) {
     const std::string tag = r.token("term tag");
     if (tag == "N") {
@@ -452,6 +457,10 @@ std::optional<RestoredCheckpoint> parse_checkpoint(std::string_view text,
       std::vector<TermId> children;
       for (std::uint64_t k = r.unum("child count"); r.ok() && k > 0; --k)
         children.push_back(term_at(r.num("child")));
+      if (!tt.fits_payload(tag == "C" ? acsr::TermKind::Choice
+                                      : acsr::TermKind::Parallel,
+                           children))
+        return reject(oversized(i));
       tmap.push_back(tag == "C" ? tt.choice(std::move(children))
                                 : tt.parallel(std::move(children)));
     } else if (tag == "R") {
@@ -480,6 +489,8 @@ std::optional<RestoredCheckpoint> parse_checkpoint(std::string_view text,
       if (r.ok() && args.size() != ctx.definition(d).params.size())
         return reject("arity mismatch calling '" + ctx.definition(d).name +
                       "'");
+      if (args.size() > acsr::TermTable::kMaxPayload)
+        return reject(oversized(i));
       tmap.push_back(tt.call(d, args));
     } else {
       return reject("unknown term tag '" + tag + "'");

@@ -8,7 +8,6 @@
 #include <optional>
 #include <thread>
 
-#include "util/concurrent_set.hpp"
 #include "util/flat_set.hpp"
 #include "util/thread_pool.hpp"
 
@@ -258,7 +257,9 @@ ExploreResult explore_parallel(acsr::Context& ctx, TermId initial,
   }
   result.initial = reducers[0]->canonical(initial);
 
-  util::ConcurrentSet visited(1u << 16, workers > 1 ? 64 : 1);
+  // The hash-cons index with identity equality: a state is its own entry.
+  util::HashIndex visited;
+  visited.set_shared(workers > 1);
 
   util::FlatIdMap<ParentLink> parent;
   bool recording = opts.record_trace;
@@ -370,9 +371,7 @@ ExploreResult explore_parallel(acsr::Context& ctx, TermId initial,
                       level.end());
     w.next_frontier = next;
     w.visited.reserve(visited.size());
-    visited.for_each([&](std::uint64_t k) {
-      w.visited.push_back(static_cast<TermId>(k));
-    });
+    visited.for_each([&](TermId s) { w.visited.push_back(s); });
     w.states = result.states;
     w.transitions = result.transitions;
     w.depth = result.depth;

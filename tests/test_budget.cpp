@@ -426,6 +426,12 @@ TEST(BudgetExplore, MemoryEstimateIncludesSemanticsCaches) {
   EXPECT_GT(sem.approx_bytes(), 0u);
   EXPECT_GE(r.approx_memory_bytes,
             ctx.approx_bytes() + sem.approx_bytes());
+  // The Context side counts the term index's real slot arrays (at least
+  // one 8-byte slot per term) on top of the nodes they index.
+  const std::size_t index_bytes = ctx.terms().index_bytes();
+  EXPECT_GE(index_bytes, ctx.terms().size() * 8);
+  EXPECT_GE(ctx.approx_bytes(),
+            index_bytes + ctx.terms().size() * sizeof(acsr::TermNode));
 
   // A memo-free Semantics over the same space reports strictly less cache
   // footprint — approx_bytes() really is tracking the memo, not a constant.

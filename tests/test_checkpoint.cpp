@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "acsr/parser.hpp"
 #include "core/analyzer.hpp"
 #include "core/result_json.hpp"
 #include "util/hash.hpp"
@@ -186,6 +187,18 @@ std::string normalize_explore_ms(std::string json) {
   while (end < json.size() && json[end] != ',' && json[end] != '}') ++end;
   json.replace(pos + key.size(), end - (pos + key.size()), "X");
   return json;
+}
+
+/// Replace the trailing `digest` line with a fresh FNV-1a seal, so an edit
+/// to the body is the only thing wrong with the blob.
+std::string reseal(std::string blob) {
+  const auto dpos = blob.rfind("digest ");
+  if (dpos == std::string::npos) return blob;
+  blob.erase(dpos);
+  std::uint64_t h = util::fnv1a(blob);
+  std::string hex(16, '0');
+  for (int i = 15; i >= 0; --i, h >>= 4) hex[i] = "0123456789abcdef"[h & 0xf];
+  return blob + "digest " + hex + "\n";
 }
 
 // --- capture ------------------------------------------------------------
@@ -411,6 +424,76 @@ TEST(Checkpoint, CorruptBlobFallsBackToAColdRun) {
             std::string::npos);
 }
 
+/// `blob` with one more term appended to its `terms` section: a Parallel
+/// whose `width` children all reference the initial state, resealed.
+std::string with_wide_parallel(const std::string& blob, std::size_t width) {
+  const auto tpos = blob.find("\nterms ");
+  const auto tend = blob.find('\n', tpos + 1);
+  const auto ipos = blob.find("\ninitial ", tend);
+  if (tpos == std::string::npos || ipos == std::string::npos) return blob;
+  const std::uint64_t count =
+      std::stoull(blob.substr(tpos + 7, tend - tpos - 7));
+  const auto iend = blob.find('\n', ipos + 1);
+  const std::string initial = blob.substr(ipos + 9, iend - ipos - 9);
+  std::string term = "\nP " + std::to_string(width);
+  for (std::size_t k = 0; k < width; ++k) term += " " + initial;
+  std::string out = blob.substr(0, tpos) + "\nterms " +
+                    std::to_string(count + 1) +
+                    blob.substr(tend, ipos - tend) + term + blob.substr(ipos);
+  return reseal(out);
+}
+
+TEST(Checkpoint, OversizedTermFallsBackToAColdRun) {
+  // A term wider than the term arena's chunk used to escape the parser as
+  // std::length_error and abort the process. It must be a rejection like
+  // any other malformed input.
+  core::AnalyzerOptions bound = base_options();
+  bound.exploration.max_states = 40;
+  std::string blob;
+  bound.checkpoint_out = &blob;
+  ASSERT_TRUE(core::analyze_source(medium_model(), "Root.impl", bound)
+                  .checkpoint_captured);
+
+  // Control: the same edit with 3 children is a well-formed blob.
+  const std::string narrow = with_wide_parallel(blob, 3);
+  ASSERT_NE(narrow, blob);
+  std::string error;
+  EXPECT_TRUE(versa::parse_checkpoint(narrow, error).has_value()) << error;
+  core::AnalyzerOptions warm = base_options();
+  warm.resume_checkpoint = &narrow;
+  EXPECT_TRUE(
+      core::analyze_source(medium_model(), "Root.impl", warm).resumed);
+
+  const std::string wide = with_wide_parallel(blob, 20'000);
+  EXPECT_FALSE(versa::parse_checkpoint(wide, error).has_value());
+  EXPECT_NE(error.find("term payload limit"), std::string::npos) << error;
+
+  warm.resume_checkpoint = &wide;
+  const auto r = core::analyze_source(medium_model(), "Root.impl", warm);
+  EXPECT_FALSE(r.resumed);
+  EXPECT_EQ(r.outcome, core::Outcome::Schedulable);  // the cold verdict
+  EXPECT_NE(r.diagnostics.find("term payload limit"), std::string::npos);
+  EXPECT_NE(r.diagnostics.find("falling back to a cold run"),
+            std::string::npos);
+}
+
+TEST(Checkpoint, OversizedGroundTermIsAParseError) {
+  acsr::Context ctx;
+  util::DiagnosticEngine diags("<test>");
+  ASSERT_TRUE(acsr::parse_module(ctx, "P = {(cpu, 1)} : P", diags))
+      << diags.render_all();
+  std::string wide = "(P";
+  for (int k = 1; k < 20'000; ++k) wide += " || P";
+  wide += ")";
+  EXPECT_EQ(acsr::parse_ground_term(ctx, wide, diags), acsr::kInvalidTerm);
+  EXPECT_NE(diags.render_all().find("term payload limit"), std::string::npos);
+
+  util::DiagnosticEngine ok("<test>");
+  EXPECT_NE(acsr::parse_ground_term(ctx, "(P || P || P)", ok),
+            acsr::kInvalidTerm)
+      << ok.render_all();
+}
+
 TEST(Checkpoint, TruncatedAndGarbageBlobsFallBack) {
   core::AnalyzerOptions bound = base_options();
   bound.exploration.max_states = 40;
@@ -550,13 +633,7 @@ TEST(Checkpoint, StaleV1FormatIsRejectedWithADiagnostic) {
   const auto vpos = stale.find(" v2\n");
   ASSERT_NE(vpos, std::string::npos);
   stale.replace(vpos, 4, " v1\n");
-  const auto dpos = stale.rfind("digest ");
-  ASSERT_NE(dpos, std::string::npos);
-  stale.erase(dpos);
-  std::uint64_t h = util::fnv1a(stale);
-  std::string hex(16, '0');
-  for (int i = 15; i >= 0; --i, h >>= 4) hex[i] = "0123456789abcdef"[h & 0xf];
-  stale += "digest " + hex + "\n";
+  stale = reseal(stale);
 
   std::string error;
   EXPECT_FALSE(versa::parse_checkpoint(stale, error).has_value());

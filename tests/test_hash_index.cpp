@@ -1,0 +1,195 @@
+// Tests for util::HashIndex, the content-addressed index behind every
+// hash-cons table and the parallel explorer's visited set, and for the
+// chunked append-only storage the tables keep their entries in. The
+// concurrent cases run under the tsan ctest label.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "util/chunked_vector.hpp"
+#include "util/flat_set.hpp"
+#include "util/hash.hpp"
+
+using namespace aadlsched;
+
+namespace {
+
+/// A minimal hash-cons table over strings: the index plus the caller-side
+/// storage it answers equality against, as the ACSR tables use it.
+struct StringTable {
+  util::ChunkedVector<std::string, 6> storage;
+  util::HashIndex index;
+  std::uint64_t (*hash)(std::string_view) = [](std::string_view s) {
+    return util::fnv1a(s);
+  };
+
+  std::uint32_t intern(std::string_view s) {
+    return index.intern(
+        hash(s), [&](std::uint32_t id) { return storage[id] == s; },
+        [&] {
+          return static_cast<std::uint32_t>(storage.push_back(std::string(s)));
+        });
+  }
+  std::uint32_t find(std::string_view s) const {
+    return index.find(hash(s),
+                      [&](std::uint32_t id) { return storage[id] == s; });
+  }
+};
+
+TEST(HashIndex, InsertIsIdempotent) {
+  util::HashIndex set;
+  EXPECT_TRUE(set.insert(42));
+  EXPECT_FALSE(set.insert(42));
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_TRUE(set.insert(7));
+  EXPECT_EQ(set.size(), 2u);
+}
+
+TEST(HashIndex, HandlesZeroKeyAndGrowth) {
+  util::HashIndex set;
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_FALSE(set.insert(0));
+  // Push far past the first allocation to force every stripe to grow.
+  for (std::uint32_t k = 1; k < 10'000; ++k) EXPECT_TRUE(set.insert(k));
+  for (std::uint32_t k = 0; k < 10'000; ++k) EXPECT_FALSE(set.insert(k));
+  EXPECT_EQ(set.size(), 10'000u);
+  std::vector<std::uint32_t> all;
+  set.for_each([&](std::uint32_t k) { all.push_back(k); });
+  std::sort(all.begin(), all.end());
+  ASSERT_EQ(all.size(), 10'000u);
+  EXPECT_EQ(all.front(), 0u);
+  EXPECT_EQ(all.back(), 9'999u);
+}
+
+TEST(HashIndex, ConcurrentInsertersClaimEachKeyOnce) {
+  constexpr std::uint32_t kKeys = 50'000;
+  constexpr std::size_t kThreads = 8;
+  util::HashIndex set;  // starts empty: exercises growth under contention
+  set.set_shared(true);
+  std::vector<std::uint64_t> wins(kThreads, 0);
+  std::vector<std::thread> threads;
+  // Every thread tries to insert every key; exactly one may win each.
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint32_t k = 0; k < kKeys; ++k)
+        if (set.insert(k * 2654435761u)) ++wins[t];
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::uint64_t total = 0;
+  for (std::uint64_t w : wins) total += w;
+  EXPECT_EQ(total, kKeys);
+  EXPECT_EQ(set.size(), kKeys);
+}
+
+TEST(HashIndex, IdsFollowPublishOrder) {
+  StringTable t;
+  EXPECT_EQ(t.intern("a"), 0u);
+  EXPECT_EQ(t.intern("b"), 1u);
+  EXPECT_EQ(t.intern("a"), 0u);
+  EXPECT_EQ(t.intern("c"), 2u);
+  EXPECT_EQ(t.find("b"), 1u);
+  EXPECT_EQ(t.find("zz"), util::kFlatEmptySlot);
+  EXPECT_EQ(t.storage.size(), 3u);  // a hit publishes nothing
+}
+
+TEST(HashIndex, EqualityAloneSeparatesCollidingHashes) {
+  // Every value hashes alike: same stripe, same probe start, same tag. Only
+  // the caller's equality tells entries apart.
+  StringTable t;
+  t.hash = [](std::string_view) -> std::uint64_t { return 7; };
+  for (int i = 0; i < 200; ++i)
+    EXPECT_EQ(t.intern("v" + std::to_string(i)), static_cast<std::uint32_t>(i));
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(t.intern("v" + std::to_string(i)), static_cast<std::uint32_t>(i));
+    EXPECT_EQ(t.find("v" + std::to_string(i)), static_cast<std::uint32_t>(i));
+  }
+  EXPECT_EQ(t.find("v200"), util::kFlatEmptySlot);
+  EXPECT_EQ(t.index.size(), 200u);
+}
+
+TEST(HashIndex, GrowsAcrossRehashesInSerialAndSharedMode) {
+  for (const bool shared : {false, true}) {
+    StringTable t;
+    t.index.set_shared(shared);
+    EXPECT_EQ(t.index.approx_bytes(), 0u) << "no slots before the first insert";
+    // 16 stripes of 16 slots to start; 20k entries take every stripe
+    // through several doublings.
+    constexpr int kN = 20'000;
+    std::size_t bytes = 0;
+    int growths = 0;
+    for (int i = 0; i < kN; ++i) {
+      ASSERT_EQ(t.intern(std::to_string(i)), static_cast<std::uint32_t>(i));
+      if (t.index.approx_bytes() != bytes) {
+        bytes = t.index.approx_bytes();
+        ++growths;
+      }
+    }
+    EXPECT_GT(growths, 4 * static_cast<int>(util::HashIndex::kStripes));
+    for (int i = 0; i < kN; ++i)
+      ASSERT_EQ(t.find(std::to_string(i)), static_cast<std::uint32_t>(i));
+    EXPECT_EQ(t.index.size(), static_cast<std::size_t>(kN));
+  }
+}
+
+TEST(HashIndex, SharedInternersGiveEachValueOneId) {
+  // N threads intern overlapping ranges of values into one shared table;
+  // every value must end up with exactly one id, whichever thread won.
+  constexpr int kThreads = 6;
+  constexpr int kPerThread = 4'000;
+  constexpr int kStride = 1'000;  // neighbours overlap by 3/4
+  StringTable t;
+  t.index.set_shared(true);
+  std::vector<std::vector<std::uint32_t>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kPerThread; ++i)
+        seen[w].push_back(t.intern("s" + std::to_string(w * kStride + i)));
+    });
+  }
+  for (auto& th : threads) th.join();
+  constexpr int kDistinct = (kThreads - 1) * kStride + kPerThread;
+  EXPECT_EQ(t.index.size(), static_cast<std::size_t>(kDistinct));
+  EXPECT_EQ(t.storage.size(), static_cast<std::size_t>(kDistinct));
+  for (int w = 0; w < kThreads; ++w) {
+    for (int i = 0; i < kPerThread; ++i) {
+      const std::uint32_t id = seen[w][i];
+      ASSERT_LT(id, static_cast<std::uint32_t>(kDistinct));
+      EXPECT_EQ(t.storage[id], "s" + std::to_string(w * kStride + i));
+    }
+  }
+}
+
+TEST(ChunkedVector, StableAddressesAcrossGrowth) {
+  util::ChunkedVector<int, 4> v;  // chunks of 16
+  EXPECT_EQ(v.push_back(7), 0u);
+  const int* first = &v[0];
+  for (int i = 1; i < 1000; ++i)
+    EXPECT_EQ(v.push_back(i), static_cast<std::size_t>(i));
+  EXPECT_EQ(first, &v[0]) << "growth must not move existing elements";
+  EXPECT_EQ(v[0], 7);
+  EXPECT_EQ(v[999], 999);
+  EXPECT_EQ(v.size(), 1000u);
+}
+
+TEST(ChunkedVector, AppendSpanNeverStraddlesChunks) {
+  util::ChunkedVector<std::uint32_t, 4> v;  // chunks of 16
+  const std::uint32_t a[13] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13};
+  const std::size_t s1 = v.append_span(std::span<const std::uint32_t>(a, 13));
+  // 13 more do not fit in the 3 remaining slots: must pad to chunk 2.
+  const std::size_t s2 = v.append_span(std::span<const std::uint32_t>(a, 13));
+  EXPECT_EQ(s1, 0u);
+  EXPECT_EQ(s2, 16u);
+  const auto view2 = v.view(s2, 13);
+  EXPECT_TRUE(std::equal(view2.begin(), view2.end(), a));
+  // Empty span: no write, any start is fine, view is empty.
+  const std::size_t s3 = v.append_span({});
+  EXPECT_TRUE(v.view(s3, 0).empty());
+}
+
+}  // namespace

@@ -602,9 +602,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SymbolicProperty,
 TEST(SymbolicBudget, SlowPeriodicDecidesWithinTheEnumeratorsBlownBudget) {
   const std::string src = read_model("slow_periodic.aadl");
 
-  // The enumerator at the CLI-default 1 ms quantum against a 2 s
-  // wall-clock budget: the 252 s hyperperiod leaves it inconclusive.
+  // The enumerator against a 2 s wall-clock budget: the 252 s hyperperiod
+  // leaves it inconclusive. At the CLI-default 1 ms quantum the whole space
+  // is only 255,255 states, few enough to close in about 2 s, so the
+  // contrast runs at a 0.1 ms quantum (about 2.5M states), which leaves a
+  // wide margin for faster enumerators.
   core::AnalyzerOptions en = engine_options(core::Engine::Enumerative);
+  en.translation.quantum_ns = 100'000;
   en.exploration.budget.deadline_ms = 2000;
   const auto r_en = core::analyze_source(src, "SlowPeriodic.impl", en);
   ASSERT_TRUE(r_en.ok) << r_en.diagnostics;
@@ -612,9 +616,10 @@ TEST(SymbolicBudget, SlowPeriodicDecidesWithinTheEnumeratorsBlownBudget) {
   EXPECT_EQ(r_en.stop_reason, util::StopReason::Deadline);
   EXPECT_FALSE(r_en.schedulable);
 
-  // The symbolic engine under the same budget closes the class graph and
-  // proves schedulability outright.
+  // The symbolic engine under the same budget and quantum closes the class
+  // graph and proves schedulability outright.
   core::AnalyzerOptions sy = engine_options(core::Engine::Symbolic);
+  sy.translation.quantum_ns = 100'000;
   sy.exploration.budget.deadline_ms = 2000;
   const auto r_sy = core::analyze_source(src, "SlowPeriodic.impl", sy);
   ASSERT_TRUE(r_sy.ok) << r_sy.diagnostics;
