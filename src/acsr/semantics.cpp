@@ -26,23 +26,19 @@ void canonicalize(std::vector<Transition>& ts) {
 }  // namespace
 
 std::vector<Transition> Semantics::transitions(TermId t) {
-  if (memoize_) {
-    if (const FanRef* ref = memo_.find(t)) {
-      ++stats_.memo_hits;
-      const auto first = fan_arena_.begin() + ref->offset;
-      return {first, first + ref->len};
-    }
+  if (const FanRef* ref = memo_.find(t)) {
+    ++stats_.memo_hits;
+    const auto first = fan_arena_.begin() + ref->offset;
+    return {first, first + ref->len};
   }
   ++stats_.computed;
   std::vector<Transition> ts = compute(t);
   canonicalize(ts);
-  if (memoize_) {
-    // Nested transitions() calls inside compute() appended their own
-    // windows first, so the arena tail is free here.
-    const auto offset = static_cast<std::uint32_t>(fan_arena_.size());
-    fan_arena_.insert(fan_arena_.end(), ts.begin(), ts.end());
-    memo_.emplace(t, FanRef{offset, static_cast<std::uint32_t>(ts.size())});
-  }
+  // Nested transitions() calls inside compute() appended their own windows
+  // first, so the arena tail is free here.
+  const auto offset = static_cast<std::uint32_t>(fan_arena_.size());
+  fan_arena_.insert(fan_arena_.end(), ts.begin(), ts.end());
+  memo_.emplace(t, FanRef{offset, static_cast<std::uint32_t>(ts.size())});
   return ts;
 }
 

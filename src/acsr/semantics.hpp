@@ -39,10 +39,7 @@ class Semantics {
     std::uint64_t memo_hits = 0;  // fan served from the memo table
   };
 
-  /// memoize=false exists only for the ablation bench; exploration with it
-  /// is identical but recomputes every fan.
-  explicit Semantics(Context& ctx, bool memoize = true)
-      : ctx_(ctx), memoize_(memoize) {}
+  explicit Semantics(Context& ctx) : ctx_(ctx) {}
 
   /// Unprioritized transition fan (copy; safe across further calls).
   std::vector<Transition> transitions(TermId t);
@@ -74,7 +71,6 @@ class Semantics {
   };
 
   Context& ctx_;
-  bool memoize_;
   Stats stats_;
   std::vector<Transition> fan_arena_;
   util::FlatIdMap<FanRef> memo_;

@@ -9,9 +9,9 @@
 //     keeps duplicates (P || P is not P);
 //   * a Scope whose timeout reached 0 collapses to its timeout handler;
 // which canonicalizes semantically-equal states and measurably shrinks the
-// explored space (see bench_statespace). Nodes are found by content through
-// a util::HashIndex, whose stripe and publish locks are the only locks of
-// the table and are taken only in shared mode.
+// explored space. Nodes are found by content through a util::HashIndex,
+// whose stripe and publish locks are the only locks of the table and are
+// taken only in shared mode.
 #pragma once
 
 #include <cstdint>

@@ -68,7 +68,7 @@ EdfResult edf_demand_analysis(const TaskSet& ts);
 
 /// Zhang & Burns' Quick convergence Processor-demand Analysis. Same verdict
 /// as edf_demand_analysis but iterates from the bound downwards; used by the
-/// ablation bench.
+/// exact EDF screen (AL014).
 EdfResult edf_qpa(const TaskSet& ts);
 
 /// Demand bound function of a task set at interval length t (synchronous).

@@ -84,7 +84,7 @@ struct TranslateOptions {
   /// dispatch taus of one instant happen in a canonical order instead of
   /// every interleaving. Sound (the taus touch disjoint components) and
   /// cuts the explored space roughly 2^n -> n per simultaneous-dispatch
-  /// boundary; bench_statespace ablates it.
+  /// boundary; Translator.OrderedInstantsShrinkTheStateSpace pins it.
   bool ordered_instants = true;
   /// Cap on any time parameter after conversion, to protect the explorer
   /// from quantum settings that explode the state space.

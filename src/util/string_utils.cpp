@@ -1,7 +1,10 @@
 #include "util/string_utils.hpp"
 
 #include <cctype>
+#include <fstream>
+#include <iostream>
 #include <limits>
+#include <sstream>
 
 namespace aadlsched::util {
 
@@ -79,6 +82,26 @@ std::optional<std::int64_t> parse_int64(std::string_view s) {
     value = value * 10 + digit;
   }
   return negative ? -value : value;
+}
+
+std::optional<std::int64_t> parse_option(const char* flag, const char* value,
+                                         std::int64_t min, std::int64_t max) {
+  const auto n = parse_int64(value);
+  if (!n || *n < min || *n > max) {
+    std::cerr << "invalid value '" << value << "' for " << flag
+              << " (expected an integer in [" << min << ", " << max
+              << "])\n";
+    return std::nullopt;
+  }
+  return n;
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return std::nullopt;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
 }
 
 std::string json_escape(std::string_view s) {

@@ -34,6 +34,15 @@ std::string pad_right(std::string_view s, std::size_t width);
 /// std::atoll, which silently accepts garbage). Used by CLI option parsing.
 std::optional<std::int64_t> parse_int64(std::string_view s);
 
+/// parse_int64 for a command-line flag's value, range-checked to
+/// [min, max]. On failure prints "invalid value ... for <flag>" to stderr
+/// and returns nullopt, so the caller can just print its usage.
+std::optional<std::int64_t> parse_option(const char* flag, const char* value,
+                                         std::int64_t min, std::int64_t max);
+
+/// Whole file as a string; nullopt if it cannot be opened.
+std::optional<std::string> read_file(const std::string& path);
+
 /// Escape a string for embedding in a JSON string literal (quotes,
 /// backslash, control characters).
 std::string json_escape(std::string_view s);

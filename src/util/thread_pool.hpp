@@ -1,6 +1,7 @@
 // Minimal work-stealing-free thread pool used by the parallel state-space
-// explorer. The explorer drives the pool in bulk-synchronous rounds (one BFS
-// frontier per round), so a simple shared queue with a condition variable is
+// explorer and by versa::parallel_sweep. The explorer drives the pool in
+// bulk-synchronous rounds (one BFS frontier per round) and the sweep submits
+// one job per model, so a simple shared queue with a condition variable is
 // both sufficient and easy to reason about.
 #pragma once
 

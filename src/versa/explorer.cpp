@@ -74,7 +74,7 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
   std::deque<TermId> frontier;
 
   std::uint64_t expanded = 0;
-  bool recording = opts.record_trace;
+  bool recording = true;
 
   // Rolling level boundary so the partial verdict can say "no deadlock
   // within BFS depth d" (O(1) space: count nodes left in the current
@@ -127,8 +127,8 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
     result.sem_stats.computed = sem.stats().computed - stats_before.computed;
     result.sem_stats.memo_hits =
         sem.stats().memo_hits - stats_before.memo_hits;
-    // Reported even when no memory budget probed it: bench_reduction and
-    // the E11 table read bytes/state off any run.
+    // Reported even when no memory budget probed it, so bytes/state can be
+    // read off any run.
     result.approx_memory_bytes = approx_memory();
     if (reducer.active()) {
       result.symmetry_groups = opts.symmetry_model->groups().size();
@@ -262,7 +262,7 @@ ExploreResult explore_parallel(acsr::Context& ctx, TermId initial,
   visited.set_shared(workers > 1);
 
   util::FlatIdMap<ParentLink> parent;
-  bool recording = opts.record_trace;
+  bool recording = true;
 
   // Current level plus, on a warm resume, the partially-discovered next
   // level carried over from the paused run (it is already in `visited`, so

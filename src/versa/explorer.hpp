@@ -10,11 +10,12 @@
 //   * explore()          — the classic serial BFS;
 //   * explore_parallel() — level-synchronous parallel BFS: each BFS level is
 //     carved into blocks processed by a worker pool, duplicates are resolved
-//     through a sharded concurrent visited set, and workers extend the
-//     shared hash-cons tables under Context shared mode with per-worker
-//     Semantics memo caches. Processing level-by-level preserves the BFS
-//     depth invariant, so the counterexample is still a shortest one and
-//     states/transitions are identical for every worker count.
+//     through the visited set (a util::HashIndex in identity mode, striped
+//     locks in shared mode), and workers extend the shared hash-cons tables
+//     under Context shared mode with per-worker Semantics memo caches.
+//     Processing level-by-level preserves the BFS depth invariant, so the
+//     counterexample is still a shortest one and states/transitions are
+//     identical for every worker count.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +60,6 @@ struct Wavefront {
 struct ExploreOptions {
   /// Stop after this many states (guards against runaway models).
   std::uint64_t max_states = 5'000'000;
-  /// Record parents for counterexample reconstruction.
-  bool record_trace = true;
   /// Stop at the first deadlock instead of exploring the full space.
   bool stop_at_first_deadlock = true;
   /// Resource envelope: wall-clock deadline, extra state cap, approximate
@@ -125,7 +124,7 @@ struct ExploreResult {
   acsr::TermId initial = acsr::kNil;
   acsr::TermId first_deadlock = acsr::kNil;
   /// Shortest path (BFS) from the initial state to the first deadlock;
-  /// empty when schedulable or when record_trace was off.
+  /// empty when schedulable, resumed, or after trace_dropped.
   std::vector<Step> trace;
 
   // --- resource governance ---------------------------------------------

@@ -7,13 +7,10 @@
 //     linearly.
 //   * Within one model: versa::explore_parallel runs a level-synchronous
 //     parallel BFS over a single prioritized transition system, with the
-//     hash-cons tables in Context shared-mode (striped locks) and a sharded
-//     concurrent visited set. See DESIGN.md §8 for the architecture and the
-//     shortest-trace argument.
-// An earlier revision claimed single-model exploration was inherently
-// serial "pointer-chasing over a shared hash-cons table"; chunked
-// append-only table storage plus per-worker transition-memo caches proved
-// that wrong — most of the hot path never takes a lock.
+//     hash-cons tables in Context shared mode and the visited set a
+//     util::HashIndex in identity mode (both lock the index's stripes).
+//     See DESIGN.md §8 for the architecture and the shortest-trace
+//     argument.
 #pragma once
 
 #include <cstddef>

@@ -350,16 +350,31 @@ TEST_F(SemanticsTest, MemoizationReturnsIdenticalFans) {
   EXPECT_GE(sem.stats().memo_hits, 1u);
 }
 
-TEST_F(SemanticsTest, NoMemoModeAgreesWithMemoized) {
+TEST_F(SemanticsTest, FreshSemanticsAgreesWithWarmedMemo) {
   b.def("N", {"k"},
         b.pick({b.when(b.lt(b.p(0), b.c(2)),
                        b.act({{"cpu", b.c(1)}},
                              b.call("N", {b.add(b.p(0), b.c(1))}))),
                 b.send("fin", b.c(1), b.nil())}));
-  Semantics plain(ctx, /*memoize=*/false);
   const TermId t = b.start("N", {0});
-  EXPECT_EQ(sem.transitions(t), plain.transitions(t));
-  EXPECT_EQ(sem.prioritized(t), plain.prioritized(t));
+  // Warm the memo along the whole chain, then serve it again from there.
+  std::vector<TermId> chain{t};
+  for (std::size_t i = 0; i < chain.size(); ++i)
+    for (const Transition& tr : sem.transitions(chain[i]))
+      if (std::find(chain.begin(), chain.end(), tr.target) == chain.end())
+        chain.push_back(tr.target);
+  ASSERT_GT(chain.size(), 2u);
+  const auto hits_before = sem.stats().memo_hits;
+
+  // A fresh Semantics over the same context starts with an empty memo, so
+  // every fan it returns is recomputed.
+  Semantics fresh(ctx);
+  for (TermId s : chain) {
+    EXPECT_EQ(sem.transitions(s), fresh.transitions(s));
+    EXPECT_EQ(sem.prioritized(s), fresh.prioritized(s));
+  }
+  EXPECT_GE(sem.stats().memo_hits, hits_before + 2 * chain.size());
+  EXPECT_GE(fresh.stats().computed, chain.size());
 }
 
 }  // namespace

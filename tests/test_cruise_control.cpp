@@ -15,9 +15,8 @@ using namespace aadlsched::core;
 
 namespace {
 
-std::string model_source() {
-  std::ifstream in(std::string(AADLSCHED_MODELS_DIR) +
-                   "/cruise_control.aadl");
+std::string model_source(const std::string& file = "cruise_control.aadl") {
+  std::ifstream in(std::string(AADLSCHED_MODELS_DIR) + "/" + file);
   EXPECT_TRUE(in);
   std::ostringstream os;
   os << in.rdbuf();
@@ -122,18 +121,38 @@ TEST(CruiseControl, FinerQuantumGrowsStateSpace) {
   // §4.1: "Precision of the timing analysis can be improved by making
   // scheduling quanta smaller, which tends to increase the size of the
   // state space."
-  AnalyzerOptions coarse = ten_ms();
-  AnalyzerOptions fine = ten_ms();
-  fine.translation.quantum_ns = 5'000'000;  // 5 ms
-  const auto rc =
-      analyze_source(model_source(), "CruiseControlSystem.impl", coarse);
-  const auto rf =
-      analyze_source(model_source(), "CruiseControlSystem.impl", fine);
-  ASSERT_TRUE(rc.ok);
-  ASSERT_TRUE(rf.ok);
-  EXPECT_TRUE(rc.schedulable);
-  EXPECT_TRUE(rf.schedulable);
-  EXPECT_GT(rf.states, rc.states);
+  struct Row {
+    std::int64_t quantum_ms;
+    bool schedulable;
+    std::uint64_t states;
+  };
+  for (const Row& row : {Row{10, true, 197}, Row{5, true, 470},
+                         Row{2, true, 6113}}) {
+    AnalyzerOptions opts;
+    opts.translation.quantum_ns = row.quantum_ms * 1'000'000;
+    const auto r =
+        analyze_source(model_source(), "CruiseControlSystem.impl", opts);
+    ASSERT_TRUE(r.ok) << r.diagnostics;
+    EXPECT_EQ(r.schedulable, row.schedulable) << row.quantum_ms << " ms";
+    EXPECT_EQ(r.states, row.states) << row.quantum_ms << " ms";
+  }
+
+  // Precision (EXPERIMENTS.md E2, E14): 12 ms + 8 ms of work per 20 ms.
+  // At a 10 ms quantum the demand rounds up to 2 + 1 quanta against a
+  // 2-quantum period, and at 5 ms to 3 + 2 against 4: spurious misses.
+  // 4, 2 and 1 ms quantize exactly and accept it.
+  const std::string ladder = model_source("quantum_ladder.aadl");
+  for (const Row& row : {Row{10, false, 19}, Row{5, false, 28},
+                         Row{4, true, 11}, Row{2, true, 16},
+                         Row{1, true, 26}}) {
+    AnalyzerOptions opts;
+    opts.translation.quantum_ns = row.quantum_ms * 1'000'000;
+    const auto r = analyze_source(ladder, "QuantumLadder.impl", opts);
+    ASSERT_TRUE(r.ok) << r.diagnostics;
+    EXPECT_EQ(r.schedulable, row.schedulable)
+        << row.quantum_ms << " ms: " << r.summary();
+    EXPECT_EQ(r.states, row.states) << row.quantum_ms << " ms";
+  }
 }
 
 TEST(CruiseControl, AcsrDumpIsSelfContained) {

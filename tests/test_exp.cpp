@@ -5,6 +5,9 @@
 // tests cover the library surface underneath it.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "exp/report.hpp"
@@ -116,6 +119,32 @@ TEST(ExpGrid, ExpansionIsDeterministicPolicyOutermost) {
   EXPECT_EQ(cells[1].policy, "rm");
   EXPECT_DOUBLE_EQ(cells[1].utilization, 0.6);
   EXPECT_EQ(cells[2].policy, "edf");
+}
+
+TEST(ExpGrid, EveryShippedSpecParsesAndExpands) {
+  // examples/experiments/*.json are the population inputs EXPERIMENTS.md
+  // cites; none of them may rot into a spec-load error.
+  std::size_t specs = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(AADLSCHED_EXPERIMENTS_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    SCOPED_TRACE(entry.path().filename().string());
+    ++specs;
+    std::ifstream in(entry.path());
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::string error;
+    const auto spec = exp::parse_experiment_spec(text.str(), error);
+    ASSERT_TRUE(spec.has_value()) << error;
+    const std::size_t corners =
+        spec->policies.size() * spec->utilizations.size() *
+        spec->task_counts.size() * spec->deadline_fractions.size() *
+        spec->quantum_ms.size() * spec->engines.size() *
+        spec->processors.size();
+    EXPECT_GT(corners, 0u);
+    EXPECT_EQ(exp::expand_grid(*spec).size(), corners);
+  }
+  EXPECT_GE(specs, 2u);  // smoke.json and e3_policies.json at least
 }
 
 // --- model rendering ----------------------------------------------------

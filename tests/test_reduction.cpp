@@ -11,8 +11,7 @@
 //     ordered_instants off, the symmetric fixture's interchangeable
 //     threads form a group, both engines reach the same verdict as a
 //     reduction-free run, and the representative count is at least 2x
-//     smaller (the bench_reduction acceptance bar, pinned here as a
-//     functional test).
+//     smaller (the E11 acceptance bar).
 #include <gtest/gtest.h>
 
 #include <filesystem>

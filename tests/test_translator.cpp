@@ -529,6 +529,83 @@ TEST(Translator, OrderedInstantsShrinkTheStateSpace) {
   EXPECT_LT(ra.states, rb.states);
 }
 
+/// EXPERIMENTS.md E5 queue sweep: a periodic producer feeding a sporadic
+/// consumer through a `queue_size`-slot event port, optionally under the
+/// Error overflow protocol (the default is DropNewest).
+std::string queue_model(int producer_period, int consumer_sep,
+                        int queue_size, bool error_protocol) {
+  const std::string pp = std::to_string(producer_period);
+  const std::string cs = std::to_string(consumer_sep);
+  return R"(
+    package Q
+    public
+      processor Cpu
+      properties
+        Scheduling_Protocol => POSIX_1003_HIGHEST_PRIORITY_FIRST_PROTOCOL;
+      end Cpu;
+      thread Producer
+      features
+        evt : out event port;
+      end Producer;
+      thread implementation Producer.impl
+      properties
+        Dispatch_Protocol => Periodic;
+        Period => )" + pp + R"( ms;
+        Compute_Execution_Time => 1 ms .. 1 ms;
+        Deadline => )" + pp + R"( ms;
+        Priority => 2;
+      end Producer.impl;
+      thread Consumer
+      features
+        trig : in event port { Queue_Size => )" +
+         std::to_string(queue_size) + R"(; };
+      end Consumer;
+      thread implementation Consumer.impl
+      properties
+        Dispatch_Protocol => Sporadic;
+        Period => )" + cs + R"( ms;
+        Compute_Execution_Time => 1 ms .. 1 ms;
+        Deadline => )" + std::to_string(consumer_sep * 3) + R"( ms;
+        Priority => 1;
+      end Consumer.impl;
+      system R
+      end R;
+      system implementation R.impl
+      subcomponents
+        p   : thread Producer.impl;
+        c   : thread Consumer.impl;
+        cpu : processor Cpu;
+      connections
+        conn : port p.evt -> c.trig;
+      properties
+        Actual_Processor_Binding => reference (cpu) applies to p;
+        Actual_Processor_Binding => reference (cpu) applies to c;
+        )" + (error_protocol
+                  ? "Overflow_Handling_Protocol => Error applies to conn;"
+                  : "") + R"(
+      end R.impl;
+    end Q;
+  )";
+}
+
+/// Overloaded: the producer emits every 2 ms, the consumer admits one
+/// dispatch per 4 ms. Balanced: both run every 4 ms.
+constexpr int kOverloadedPeriod = 2;
+constexpr int kBalancedPeriod = 4;
+constexpr int kConsumerSeparation = 4;
+
+versa::ExploreResult explore_queue(int producer_period, int queue_size,
+                                   bool error_protocol) {
+  Pipeline p;
+  EXPECT_TRUE(p.load(queue_model(producer_period, kConsumerSeparation,
+                                 queue_size, error_protocol),
+                     "R.impl", ms_quantum()))
+      << p.diags.render_all();
+  if (!p.translation) return {};
+  acsr::Semantics sem(p.ctx);
+  return versa::explore(sem, p.translation->initial);
+}
+
 TEST(Translator, QueueOverflowErrorProtocolDeadlocks) {
   // Unconstrained environment feeding a 1-slot queue with the Error
   // protocol on a slow aperiodic consumer: overflow is reachable and must
@@ -574,6 +651,21 @@ TEST(Translator, QueueOverflowErrorProtocolDeadlocks) {
   acsr::Semantics sem(p.ctx);
   const auto r = versa::explore(sem, p.translation->initial);
   EXPECT_TRUE(r.deadlock_found) << "env can always outpace the consumer";
+
+  // E5 sweep: overloaded arrivals overflow every finite queue, and a larger
+  // queue only postpones the overflow (more states before the deadlock);
+  // balanced arrivals never overflow, whatever the size.
+  const std::uint64_t overflow_states[] = {20, 35, 65};
+  int i = 0;
+  for (const int size : {1, 2, 4}) {
+    const auto over = explore_queue(kOverloadedPeriod, size, true);
+    EXPECT_TRUE(over.deadlock_found) << "overloaded, size " << size;
+    EXPECT_EQ(over.states, overflow_states[i++]) << "overloaded, size " << size;
+    const auto balanced = explore_queue(kBalancedPeriod, size, true);
+    EXPECT_TRUE(balanced.complete) << "balanced, size " << size;
+    EXPECT_FALSE(balanced.deadlock_found) << "balanced, size " << size;
+    EXPECT_EQ(balanced.states, 14u) << "balanced, size " << size;
+  }
 }
 
 TEST(Translator, QueueDropProtocolToleratesOverflow) {
@@ -619,6 +711,16 @@ TEST(Translator, QueueDropProtocolToleratesOverflow) {
   EXPECT_TRUE(r.complete);
   EXPECT_FALSE(r.deadlock_found)
       << "DropNewest absorbs the burst; C=1 within D=4 always fits";
+
+  // E5 sweep: DropNewest sheds the excess and stays safe in both regimes.
+  for (const int size : {1, 2, 4}) {
+    for (const int period : {kOverloadedPeriod, kBalancedPeriod}) {
+      const auto drop = explore_queue(period, size, false);
+      EXPECT_TRUE(drop.complete) << "period " << period << ", size " << size;
+      EXPECT_FALSE(drop.deadlock_found)
+          << "period " << period << ", size " << size;
+    }
+  }
 }
 
 TEST(Translator, AnytimeSendPolicyStillSound) {

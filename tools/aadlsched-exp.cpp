@@ -24,7 +24,6 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <sys/stat.h>
 
@@ -37,6 +36,8 @@
 namespace {
 
 using namespace aadlsched;
+using util::parse_option;
+using util::read_file;
 
 int usage() {
   std::cerr <<
@@ -45,26 +46,6 @@ int usage() {
       "                     [--connect-retries n] [--workers n]\n"
       "                     [--models-dir dir] [--print] [--quiet]\n";
   return 2;
-}
-
-std::optional<std::int64_t> parse_option(const char* flag, const char* value,
-                                         std::int64_t min, std::int64_t max) {
-  const auto n = util::parse_int64(value);
-  if (!n || *n < min || *n > max) {
-    std::cerr << "invalid value '" << value << "' for " << flag
-              << " (expected an integer in [" << min << ", " << max
-              << "])\n";
-    return std::nullopt;
-  }
-  return n;
-}
-
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
 }
 
 bool write_file(const std::string& path, const std::string& text) {

@@ -123,6 +123,8 @@
 namespace {
 
 using namespace aadlsched;
+using util::parse_option;
+using util::read_file;
 
 int usage() {
   std::cerr <<
@@ -143,29 +145,6 @@ int usage() {
       "                 [--connect-retries n] [common options]\n"
       "       aadlsched --connect <host:port> --stats | --shutdown\n";
   return 2;
-}
-
-/// Strict numeric option parsing: std::atoll silently accepts garbage and
-/// out-of-range values; reject anything outside [min, max] with a usage
-/// error instead.
-std::optional<std::int64_t> parse_option(const char* flag, const char* value,
-                                         std::int64_t min, std::int64_t max) {
-  const auto n = aadlsched::util::parse_int64(value);
-  if (!n || *n < min || *n > max) {
-    std::cerr << "invalid value '" << value << "' for " << flag
-              << " (expected an integer in [" << min << ", " << max
-              << "])\n";
-    return std::nullopt;
-  }
-  return n;
-}
-
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
 }
 
 // --- cooperative cancellation (SIGINT) ---------------------------------

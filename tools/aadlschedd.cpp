@@ -70,6 +70,7 @@
 namespace {
 
 using namespace aadlsched;
+using util::parse_option;
 
 int usage() {
   std::cerr <<
@@ -82,18 +83,6 @@ int usage() {
       "                  [--no-reduction] "
       "[--engine enumerative|symbolic|auto]\n";
   return 2;
-}
-
-std::optional<std::int64_t> parse_option(const char* flag, const char* value,
-                                         std::int64_t min, std::int64_t max) {
-  const auto n = util::parse_int64(value);
-  if (!n || *n < min || *n > max) {
-    std::cerr << "invalid value '" << value << "' for " << flag
-              << " (expected an integer in [" << min << ", " << max
-              << "])\n";
-    return std::nullopt;
-  }
-  return n;
 }
 
 std::atomic<bool> g_signalled{false};
