@@ -62,8 +62,8 @@ class ActionTable {
            index_.approx_bytes();
   }
 
-  /// See TermTable::set_shared_mode: locked interning for the parallel
-  /// explorer (Par3 merges intern new combined actions on the hot path).
+  /// See TermTable::set_shared_mode: locked interning for concurrent
+  /// callers (Par3 merges intern new combined actions on the hot path).
   void set_shared_mode(bool shared) { index_.set_shared(shared); }
 
  private:

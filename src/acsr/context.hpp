@@ -5,14 +5,14 @@
 // definitions. Instantiation (open term + parameter values -> ground term)
 // and call unfolding live here because they touch all tables.
 //
-// A Context is single-threaded while a model is being built. For the
-// parallel explorer it can be switched into *shared mode*
-// (set_shared_mode / SharedModeGuard): every hash-cons table indexes its
-// entries with a util::HashIndex, and in shared mode that index takes its
-// stripe lock on each probe and its publish lock on each append, so
-// multiple workers may extend the term DAG concurrently. The unfold memo
-// shares the term index's publish lock. Sweeps over independent model
-// variants still use one Context per job (they are cheap to create).
+// A Context is single-threaded while a model is being built. It can be
+// switched into *shared mode* (set_shared_mode / SharedModeGuard): every
+// hash-cons table indexes its entries with a util::HashIndex, and in shared
+// mode that index takes its stripe lock on each probe and its publish lock
+// on each append, so several threads may extend the term DAG concurrently.
+// The unfold memo shares the term index's publish lock. The explorer does
+// not use it (its pool threads intern nothing), and sweeps over independent
+// model variants use one Context per job (they are cheap to create).
 #pragma once
 
 #include <deque>
@@ -98,8 +98,8 @@ class Context {
   /// expressions, interners) with their index slots, the open terms and
   /// the unfold memo. Dominated by the term table during
   /// exploration; used with the visited-set footprint to enforce
-  /// RunBudget::memory_bytes (util/budget.hpp). Call while no worker is
-  /// appending (the explorers probe at expansion/level boundaries).
+  /// RunBudget::memory_bytes (util/budget.hpp). Call while no thread is
+  /// appending (the explorer probes between expansions).
   std::size_t approx_bytes() const;
 
   // --- concurrency -----------------------------------------------------
@@ -109,7 +109,7 @@ class Context {
   void set_shared_mode(bool shared);
   bool shared_mode() const { return shared_; }
 
-  /// RAII shared-mode window, used by versa::explore_parallel.
+  /// RAII shared-mode window.
   class SharedModeGuard {
    public:
     explicit SharedModeGuard(Context& ctx) : ctx_(ctx) {

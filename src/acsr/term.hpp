@@ -105,8 +105,8 @@ class TermTable {
   bool fits_payload(TermKind kind, std::span<const TermId> children) const;
 
   /// In shared mode the index locks every intern (see util::HashIndex), so
-  /// workers of the parallel explorer can extend the term DAG
-  /// concurrently. Toggle only while quiescent.
+  /// several threads can extend the term DAG concurrently. Toggle only
+  /// while quiescent.
   void set_shared_mode(bool shared) { index_.set_shared(shared); }
   /// Held around the Context's unfold memo, so the memo is locked exactly
   /// when the term table is shared.

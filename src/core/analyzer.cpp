@@ -1,13 +1,11 @@
 #include "core/analyzer.hpp"
 
-#include <fstream>
 #include <iomanip>
 #include <map>
 #include <sstream>
 
 #include "aadl/parser.hpp"
 #include "acsr/printer.hpp"
-#include "acsr/semantics.hpp"
 #include "core/symbolic_extract.hpp"
 #include "versa/checkpoint.hpp"
 #include "versa/inspection.hpp"
@@ -183,7 +181,7 @@ void apply_exploration(AnalysisResult& result,
 /// the mangled role-name groups (the translator's on a cold run, the
 /// checkpoint's on a resume) and wire it into the exploration options.
 /// With --no-reduction, or when no groups resolve, the layer stays inert
-/// and both engines behave bit-identically to a run without it.
+/// and the explorer behaves bit-identically to a run without it.
 versa::CheckpointReduction setup_reduction(
     versa::SymmetryModel& model, versa::ExploreOptions& eopts,
     acsr::Context& ctx,
@@ -250,14 +248,8 @@ AnalysisResult analyze_resumed(versa::RestoredCheckpoint restored,
       sym, eopts, ctx, restored.reduction.role_groups,
       restored.reduction.uniform_dispatch, opts.no_reduction);
 
-  versa::ExploreResult er;
-  if (opts.parallel.workers == 1) {
-    acsr::Semantics sem(ctx);
-    er = versa::explore(sem, restored.wave.initial, eopts);
-  } else {
-    er = versa::explore_parallel(ctx, restored.wave.initial, eopts,
-                                 opts.parallel);
-  }
+  const versa::ExploreResult er = versa::explore_parallel(
+      ctx, restored.wave.initial, eopts, opts.parallel);
   apply_exploration(result, er);
   result.resumed = true;
   result.resumed_from_depth = restored.wave.depth;
@@ -406,7 +398,7 @@ std::string AnalysisResult::summary() const {
        << ", states saved: " << states_saved << ", commuted expansions: "
        << commuted_expansions;
   if (worker_states.size() > 1) {
-    os << ", per-worker states [";
+    os << ", per-worker fans [";
     for (std::size_t i = 0; i < worker_states.size(); ++i) {
       if (i) os << ' ';
       os << worker_states[i];
@@ -536,13 +528,8 @@ AnalysisResult analyze_instance(const aadl::InstanceModel& instance,
       setup_reduction(sym, eopts, ctx, role_groups,
                       tr->symmetry.uniform_dispatch, opts.no_reduction);
 
-  versa::ExploreResult er;
-  if (opts.parallel.workers == 1) {
-    acsr::Semantics sem(ctx);
-    er = versa::explore(sem, tr->initial, eopts);
-  } else {
-    er = versa::explore_parallel(ctx, tr->initial, eopts, opts.parallel);
-  }
+  const versa::ExploreResult er =
+      versa::explore_parallel(ctx, tr->initial, eopts, opts.parallel);
   apply_exploration(result, er);
   maybe_capture_checkpoint(result, er, captured, ctx, opts, red);
   // No timeline without a trace: when recording was dropped under memory
@@ -576,15 +563,13 @@ AnalysisResult analyze_source(std::string_view aadl_source,
 AnalysisResult analyze_file(const std::string& path,
                             std::string_view root_impl,
                             const AnalyzerOptions& opts) {
-  std::ifstream in(path);
-  if (!in) {
+  const std::optional<std::string> text = util::read_file(path);
+  if (!text) {
     AnalysisResult result;
     result.diagnostics = "cannot open '" + path + "'\n";
     return result;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return analyze_source(buf.str(), root_impl, opts);
+  return analyze_source(*text, root_impl, opts);
 }
 
 std::string render_acsr(std::string_view aadl_source,

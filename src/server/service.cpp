@@ -36,6 +36,11 @@ std::string options_key(const RequestOptions& ro) {
   // inside the symbolic fragment, but result objects differ in their
   // engine-observability fields ("engine", states-as-zones), so one key
   // must never serve both.
+  // `workers` is deliberately absent: the worker count cannot change a
+  // result (one BFS loop; the pool only prioritizes prefetched fans), so a
+  // result computed with any count may serve them all.
+  // ReductionEquivalence.ResultJsonIsByteIdenticalOnEveryExampleModel
+  // holds that to byte identity on every shipped model.
   std::uint64_t h = util::fnv1a("options-v4");
   h = util::hash_combine(h, static_cast<std::uint64_t>(ro.quantum_ns));
   h = util::hash_combine(h, ro.late_completion ? 1u : 0u);

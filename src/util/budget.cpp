@@ -152,14 +152,6 @@ BudgetStatus BudgetTracker::check(std::uint64_t states) {
   return full_check(states);
 }
 
-BudgetStatus BudgetTracker::check_now(std::uint64_t states) {
-  if (budget_.cancel && budget_.cancel->cancelled())
-    return {BudgetSignal::Stop, StopReason::Cancelled};
-  if (budget_.max_states != 0 && states >= budget_.max_states)
-    return {BudgetSignal::Stop, StopReason::MaxStates};
-  return full_check(states);
-}
-
 BudgetStatus BudgetTracker::full_check(std::uint64_t states) {
   (void)states;
   if (injector_) {

@@ -79,14 +79,14 @@ struct RunBudget {
 
 /// Deterministic fault injection. One global instance (armed once from
 /// $AADLSCHED_FAULT) plus local instances for tests. Counters are atomic so
-/// parallel-explorer workers may probe concurrently; exactly which worker
-/// observes the Nth check depends on scheduling, but *some* check trips, so
-/// every bail-out path is reachable on demand.
+/// concurrent callers (sweep jobs, service threads) may probe; exactly which
+/// one observes the Nth probe depends on scheduling, but *some* probe trips,
+/// so every bail-out path is reachable on demand.
 class FaultInjector {
  public:
   enum class Site : std::uint8_t {
     None,
-    BudgetCheck,  // a BudgetTracker/worker budget check reports `reason`
+    BudgetCheck,  // a BudgetTracker check reports `reason`
     MemoryProbe,  // a memory probe reports pressure regardless of usage
     Job,          // a parallel_sweep job throws InjectedFault on entry
     // Filesystem sites (DESIGN.md §15): every disk I/O the server performs
@@ -162,9 +162,8 @@ struct BudgetStatus {
   StopReason reason = StopReason::None;
 };
 
-/// Per-run governor. Single-threaded: owned by the (serial or coordinator)
-/// exploration loop; parallel workers use cheaper per-block checks (cancel
-/// token + deadline time-point + shared stop flag, see explorer.cpp).
+/// Per-run governor. Single-threaded: owned by the exploration loop, which
+/// calls it between expansions, never while its prefetch pool is busy.
 class BudgetTracker {
  public:
   /// `memory_fn` estimates current footprint in bytes (sampled only on
@@ -177,8 +176,6 @@ class BudgetTracker {
   /// Hot-path check, call once per expansion. Cancel is checked every call;
   /// clock/memory every kStride calls (and on the first).
   BudgetStatus check(std::uint64_t states);
-  /// Full check (clock + memory), for level boundaries.
-  BudgetStatus check_now(std::uint64_t states);
 
   /// The engine degraded (dropped trace recording); the next sustained
   /// memory-pressure signal becomes a Stop instead of another degradation.
@@ -187,9 +184,6 @@ class BudgetTracker {
 
   double elapsed_ms() const;
   std::uint64_t last_memory_bytes() const { return last_memory_; }
-  /// Deadline as a steady_clock time point, for worker-side checks.
-  std::chrono::steady_clock::time_point deadline() const { return deadline_; }
-  bool has_deadline() const { return budget_.deadline_ms > 0; }
 
   static constexpr std::uint64_t kStride = 256;
 

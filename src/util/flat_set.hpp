@@ -239,18 +239,22 @@ class HashIndex {
   /// appends the entry to the caller's storage and returns its new id.
   template <typename Eq, typename Publish>
   std::uint32_t intern(std::uint64_t hash, Eq&& eq, Publish&& publish) {
-    return claim(hash, eq, [&] {
-      const auto lk = lock(publish_mu_);
+    const std::uint64_t h = util::mix64(hash);
+    Stripe& s = stripe(h);
+    const auto lk = lock(s.mu);
+    if ((s.size + 1) * 10 > s.slots.size() * 7)
+      rehash(s, detail::flat_capacity_for(s.size + 1));
+    const std::uint32_t tag = tag_of(h);
+    Slot& slot = s.slots[probe(s, tag, eq)];
+    if (slot.id != kFlatEmptySlot) return slot.id;
+    const std::uint32_t id = [&] {
+      const auto publish_lk = lock(publish_mu_);
       return publish();
-    }).first;
-  }
-
-  /// Identity mode, for sets of ids: the key is its own entry. Returns
-  /// true for the one call that inserted `key`.
-  bool insert(std::uint32_t key) {
-    return claim(key, [key](std::uint32_t id) { return id == key; },
-                 [key] { return key; })
-        .second;
+    }();
+    assert(id != kFlatEmptySlot);
+    slot = Slot{tag, id};
+    ++s.size;
+    return id;
   }
 
   /// Toggle only while no other thread uses the index.
@@ -268,16 +272,6 @@ class HashIndex {
       n += s.size;
     }
     return n;
-  }
-
-  /// Every id, stripe by stripe (order unspecified).
-  template <typename F>
-  void for_each(F&& f) const {
-    for (const Stripe& s : stripes_) {
-      const auto lk = lock(s.mu);
-      for (const Slot& slot : s.slots)
-        if (slot.id != kFlatEmptySlot) f(slot.id);
-    }
   }
 
   /// Actual footprint of the slot arrays.
@@ -321,26 +315,6 @@ class HashIndex {
       if (slot.id == kFlatEmptySlot || (slot.tag == tag && eq(slot.id)))
         return i;
     }
-  }
-
-  /// Returns (id, true) when `make()` published the entry, (id, false)
-  /// when an equal one was already present.
-  template <typename Eq, typename Make>
-  std::pair<std::uint32_t, bool> claim(std::uint64_t hash, const Eq& eq,
-                                       Make&& make) {
-    const std::uint64_t h = util::mix64(hash);
-    Stripe& s = stripe(h);
-    const auto lk = lock(s.mu);
-    if ((s.size + 1) * 10 > s.slots.size() * 7)
-      rehash(s, detail::flat_capacity_for(s.size + 1));
-    const std::uint32_t tag = tag_of(h);
-    Slot& slot = s.slots[probe(s, tag, eq)];
-    if (slot.id != kFlatEmptySlot) return {slot.id, false};
-    const std::uint32_t id = make();
-    assert(id != kFlatEmptySlot);
-    slot = Slot{tag, id};
-    ++s.size;
-    return {id, true};
   }
 
   static void rehash(Stripe& s, std::size_t new_cap) {

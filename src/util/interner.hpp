@@ -40,9 +40,9 @@ class Interner {
     return storage_.size() * sizeof(std::string) + index_.approx_bytes();
   }
 
-  /// Shared mode locks intern/lookup in the index so the parallel
-  /// explorer's workers may resolve names concurrently. Names are all
-  /// interned during translation, so the lock is cold during exploration.
+  /// Shared mode locks intern/lookup in the index so several threads may
+  /// resolve names concurrently. Names are all interned during
+  /// translation, so the lock is cold during exploration.
   void set_shared_mode(bool shared) { index_.set_shared(shared); }
 
  private:

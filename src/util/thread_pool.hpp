@@ -1,8 +1,8 @@
-// Minimal work-stealing-free thread pool used by the parallel state-space
-// explorer and by versa::parallel_sweep. The explorer drives the pool in
-// bulk-synchronous rounds (one BFS frontier per round) and the sweep submits
-// one job per model, so a simple shared queue with a condition variable is
-// both sufficient and easy to reason about.
+// Minimal work-stealing-free thread pool used by the state-space explorer
+// and by versa::parallel_sweep. The explorer hands it one prefetch batch of
+// fans to prioritize at a time and waits for it to go idle; the sweep
+// submits one job per model. A simple shared queue with a condition
+// variable is both sufficient and easy to reason about.
 #pragma once
 
 #include <condition_variable>

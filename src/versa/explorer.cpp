@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <thread>
 
+#include "acsr/preemption.hpp"
 #include "util/flat_set.hpp"
 #include "util/thread_pool.hpp"
 
@@ -56,13 +57,25 @@ void reconstruct_trace(ExploreResult& result,
   result.trace = std::move(rev);
 }
 
-}  // namespace
+/// Fans per worker in one prefetch batch. A batch costs one pool round
+/// trip, which 64 prioritizations per worker amortize.
+constexpr std::size_t kFansPerWorker = 64;
 
-ExploreResult explore(acsr::Semantics& sem, TermId initial,
-                      const ExploreOptions& opts) {
+/// A fan computed ahead of the merge, for one state at the deque front.
+struct Prefetched {
+  TermId state = acsr::kNil;
+  std::vector<Transition> fan;
+  acsr::Semantics::Stats stats;  // what computing the raw fan cost the memo
+  std::size_t worker = 0;        // who prioritized it
+};
+
+/// The one BFS loop behind explore() and explore_parallel().
+ExploreResult bfs(acsr::Semantics& sem, TermId initial,
+                  const ExploreOptions& opts, std::size_t workers) {
   const auto t0 = Clock::now();
   const acsr::Semantics::Stats stats_before = sem.stats();
   ExploreResult result;
+  result.worker_states.assign(workers, 0);
 
   Reducer reducer(sem, opts.symmetry_model, opts.reduction);
   // All stored states are canonical orbit representatives (identity when
@@ -73,7 +86,6 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
   util::FlatIdSet seen;
   std::deque<TermId> frontier;
 
-  std::uint64_t expanded = 0;
   bool recording = true;
 
   // Rolling level boundary so the partial verdict can say "no deadlock
@@ -113,6 +125,53 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
     result.peak_frontier = 1;
   }
 
+  // Prefetch. Only prioritization runs on the pool: it reads the action
+  // table and interns nothing, so TermIds are handed out in the same order
+  // as with one worker, and fan order (ties broken by TermId) cannot
+  // depend on scheduling. With an active reducer, linearization and
+  // canonicalization intern between two fans, so lookahead would reorder
+  // interning; the loop then stays one-fan-at-a-time.
+  const acsr::ActionTable& actions = sem.context().actions();
+  const bool prefetch = workers > 1 && !reducer.active();
+  const std::size_t batch = workers * kFansPerWorker;
+  std::optional<util::ThreadPool> pool;  // started by the first batch
+  std::vector<Prefetched> ahead;
+  std::size_t ahead_next = 0;
+
+  // The prioritized fan of `state`, just popped off the deque front. When
+  // the deque holds at least one more batch, the coordinator computes the
+  // raw fans of `state` and the states queued behind it, in deque order,
+  // and the pool prioritizes them while the coordinator waits.
+  const auto next_fan = [&](TermId state) -> std::vector<Transition> {
+    if (ahead_next == ahead.size() && prefetch &&
+        frontier.size() + 1 >= batch) {
+      if (!pool) pool.emplace(workers);
+      ahead.assign(batch, {});
+      ahead_next = 0;
+      for (std::size_t i = 0; i < batch; ++i) {
+        const acsr::Semantics::Stats before = sem.stats();
+        ahead[i].state = i == 0 ? state : frontier[i - 1];
+        ahead[i].fan = sem.transitions(ahead[i].state);
+        ahead[i].stats.computed = sem.stats().computed - before.computed;
+        ahead[i].stats.memo_hits = sem.stats().memo_hits - before.memo_hits;
+      }
+      std::atomic<std::size_t> cursor{0};
+      pool->parallel_for(workers, [&](std::size_t w) {
+        for (std::size_t i = cursor++; i < batch; i = cursor++) {
+          acsr::prioritize(actions, ahead[i].fan);
+          ahead[i].worker = w;
+        }
+      });
+    }
+    if (ahead_next == ahead.size()) {
+      ++result.worker_states[0];
+      return sem.prioritized(state);
+    }
+    assert(ahead[ahead_next].state == state);
+    ++result.worker_states[ahead[ahead_next].worker];
+    return std::move(ahead[ahead_next++].fan);
+  };
+
   // Hash-cons tables + fan memo + flat visited/parent tables + frontier.
   // The flat tables report their actual footprint, not a per-node guess.
   const auto approx_memory = [&]() -> std::uint64_t {
@@ -123,10 +182,17 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
   util::BudgetTracker tracker(opts.budget, approx_memory);
 
   const auto finish = [&] {
-    result.worker_states = {expanded};
-    result.sem_stats.computed = sem.stats().computed - stats_before.computed;
+    // Fans prefetched past a stop were never merged; leave their memo
+    // traffic out so the counters match a one-worker run.
+    acsr::Semantics::Stats unmerged;
+    for (std::size_t i = ahead_next; i < ahead.size(); ++i) {
+      unmerged.computed += ahead[i].stats.computed;
+      unmerged.memo_hits += ahead[i].stats.memo_hits;
+    }
+    result.sem_stats.computed =
+        sem.stats().computed - stats_before.computed - unmerged.computed;
     result.sem_stats.memo_hits =
-        sem.stats().memo_hits - stats_before.memo_hits;
+        sem.stats().memo_hits - stats_before.memo_hits - unmerged.memo_hits;
     // Reported even when no memory budget probed it, so bytes/state can be
     // read off any run.
     result.approx_memory_bytes = approx_memory();
@@ -197,8 +263,7 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
     frontier.pop_front();
     --level_remaining;
 
-    std::vector<Transition> fan = sem.prioritized(state);
-    ++expanded;
+    std::vector<Transition> fan = next_fan(state);
     if (is_stuck(state, fan)) {
       ++result.deadlock_count;
       if (!result.deadlock_found) {
@@ -231,312 +296,21 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
   return result;
 }
 
+}  // namespace
+
+ExploreResult explore(acsr::Semantics& sem, TermId initial,
+                      const ExploreOptions& opts) {
+  return bfs(sem, initial, opts, 1);
+}
+
 ExploreResult explore_parallel(acsr::Context& ctx, TermId initial,
                                const ExploreOptions& opts,
                                const ParallelExploreOptions& popts) {
-  const auto t0 = Clock::now();
   std::size_t workers = popts.workers;
   if (workers == 0)
     workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-
-  ExploreResult result;
-
-  // One Semantics (and one Reducer: its memos are worker-local too) per
-  // worker, so the hot path takes no lock at all on a memo hit.
-  // Canonicalization interns terms, which is safe under shared mode; the
-  // canonical function itself is per-run deterministic, so every worker
-  // computes the same representative for the same state.
-  std::vector<std::unique_ptr<acsr::Semantics>> sems;
-  std::vector<std::unique_ptr<Reducer>> reducers;
-  sems.reserve(workers);
-  reducers.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    sems.push_back(std::make_unique<acsr::Semantics>(ctx));
-    reducers.push_back(std::make_unique<Reducer>(
-        *sems.back(), opts.symmetry_model, opts.reduction));
-  }
-  result.initial = reducers[0]->canonical(initial);
-
-  // The hash-cons index with identity equality: a state is its own entry.
-  util::HashIndex visited;
-  visited.set_shared(workers > 1);
-
-  util::FlatIdMap<ParentLink> parent;
-  bool recording = true;
-
-  // Current level plus, on a warm resume, the partially-discovered next
-  // level carried over from the paused run (it is already in `visited`, so
-  // it must be injected into the first merged frontier rather than
-  // rediscovered).
-  std::vector<TermId> level;
-  std::vector<TermId> carried;
-  if (opts.resume && !opts.resume->empty()) {
-    const Wavefront& w = *opts.resume;
-    result.initial = w.initial;
-    for (const TermId s : w.visited) visited.insert(s);
-    result.states = w.states;
-    result.transitions = w.transitions;
-    result.depth = w.depth;
-    result.peak_frontier = w.peak_frontier;
-    result.deadlock_count = w.deadlock_count;
-    result.deadlock_found = w.deadlock_found;
-    result.first_deadlock = w.first_deadlock;
-    recording = false;
-    if (!w.frontier.empty()) {
-      level = w.frontier;
-      carried = w.next_frontier;
-    } else {
-      // The stop fell on a level boundary: the next level becomes the
-      // current one, exactly as the cold loop would have rolled it.
-      level = w.next_frontier;
-      ++result.depth;
-    }
-  } else {
-    visited.insert(result.initial);
-    result.states = 1;
-    level.push_back(result.initial);
-  }
-
-  // Budget governance. The coordinator runs the full tracker (clock +
-  // memory probe) at level boundaries, where workers are quiescent; inside
-  // a level each worker runs a cheap per-block probe — cancel flag,
-  // deadline time point, fault injector — and the first worker to observe
-  // exhaustion publishes the StopReason here, draining the whole pool
-  // within one block per worker.
-  // Probed only while workers are quiescent (level boundaries), so the
-  // per-worker fan memos can be summed safely.
-  const auto approx_memory = [&]() -> std::uint64_t {
-    std::uint64_t bytes =
-        ctx.approx_bytes() + visited.approx_bytes() + parent.approx_bytes();
-    for (const auto& sem : sems) bytes += sem->approx_bytes();
-    return bytes;
-  };
-  util::BudgetTracker tracker(opts.budget, approx_memory);
-  std::atomic<std::uint8_t> worker_stop{
-      static_cast<std::uint8_t>(util::StopReason::None)};
-  const auto block_budget_ok = [&]() -> bool {
-    if (worker_stop.load(std::memory_order_relaxed) !=
-        static_cast<std::uint8_t>(util::StopReason::None))
-      return false;
-    util::StopReason r = util::StopReason::None;
-    if (opts.budget.cancel && opts.budget.cancel->cancelled())
-      r = util::StopReason::Cancelled;
-    else if (tracker.has_deadline() && Clock::now() >= tracker.deadline())
-      r = util::StopReason::Deadline;
-    else
-      r = util::FaultInjector::global().trip_budget_check();
-    if (r == util::StopReason::None) return true;
-    std::uint8_t expected =
-        static_cast<std::uint8_t>(util::StopReason::None);
-    worker_stop.compare_exchange_strong(expected,
-                                        static_cast<std::uint8_t>(r),
-                                        std::memory_order_relaxed);
-    return false;
-  };
-
-  struct Discovery {
-    TermId target;
-    TermId source;
-    Label label;
-  };
-  struct WorkerOut {
-    std::vector<Discovery> discovered;
-    std::vector<std::pair<std::size_t, TermId>> deadlocks;  // (level idx, s)
-    std::uint64_t transitions = 0;
-    std::uint64_t processed = 0;
-  };
-  std::vector<WorkerOut> outs(workers);
-
-  // Shared-mode window + pool only when there is real parallelism; at
-  // workers == 1 the engine runs lock-free on this thread.
-  std::optional<acsr::Context::SharedModeGuard> shared;
-  std::optional<util::ThreadPool> pool;
-  if (workers > 1) {
-    shared.emplace(ctx);
-    pool.emplace(workers);
-  }
-
-  const std::size_t block = std::max<std::size_t>(1, popts.block);
-  bool exhausted = false;
-
-  // Snapshot the paused BFS for a later warm resume; runs while the pool is
-  // quiescent. `processed` is the expanded prefix of the current level.
-  const auto capture_wavefront = [&](std::size_t processed,
-                                     const std::vector<TermId>& next) {
-    if (!opts.capture) return;
-    Wavefront& w = *opts.capture;
-    w = {};
-    w.initial = result.initial;
-    w.frontier.assign(level.begin() + static_cast<std::ptrdiff_t>(processed),
-                      level.end());
-    w.next_frontier = next;
-    w.visited.reserve(visited.size());
-    visited.for_each([&](TermId s) { w.visited.push_back(s); });
-    w.states = result.states;
-    w.transitions = result.transitions;
-    w.depth = result.depth;
-    w.peak_frontier = result.peak_frontier;
-    w.deadlock_count = result.deadlock_count;
-    w.deadlock_found = result.deadlock_found;
-    w.first_deadlock = result.first_deadlock;
-  };
-
-  const auto process_range = [&](acsr::Semantics& sem, Reducer& reducer,
-                                 WorkerOut& out,
-                                 const std::vector<TermId>& lvl,
-                                 std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const TermId state = lvl[i];
-      std::vector<Transition> fan = sem.prioritized(state);
-      ++out.processed;
-      if (is_stuck(state, fan)) {
-        out.deadlocks.emplace_back(i, state);
-        continue;
-      }
-      reducer.linearize(state, fan);
-      for (const Transition& tr : fan) {
-        ++out.transitions;
-        const TermId target = reducer.canonical(tr.target);
-        if (visited.insert(target))
-          out.discovered.push_back(Discovery{target, state, tr.label});
-      }
-    }
-  };
-
-  while (true) {
-    result.peak_frontier =
-        std::max<std::uint64_t>(result.peak_frontier, level.size());
-    for (WorkerOut& o : outs) {
-      o.discovered.clear();
-      o.deadlocks.clear();
-      o.transitions = 0;
-    }
-
-    // Expanded prefix of the level: blocks are handed out in order and a
-    // grabbed block always completes (the stop flag is only checked before
-    // a grab), so the processed states are exactly level[0, processed).
-    std::size_t processed = level.size();
-    if (!pool || level.size() < popts.serial_frontier_threshold) {
-      for (std::size_t b = 0; b < level.size(); b += block) {
-        if (!block_budget_ok()) {
-          processed = b;
-          break;
-        }
-        process_range(*sems[0], *reducers[0], outs[0], level, b,
-                      std::min(b + block, level.size()));
-      }
-    } else {
-      std::atomic<std::size_t> cursor{0};
-      pool->parallel_for(workers, [&](std::size_t w) {
-        while (block_budget_ok()) {
-          const std::size_t b =
-              cursor.fetch_add(block, std::memory_order_relaxed);
-          if (b >= level.size()) break;
-          process_range(*sems[w], *reducers[w], outs[w], level, b,
-                        std::min(b + block, level.size()));
-        }
-      });
-      processed =
-          std::min(cursor.load(std::memory_order_relaxed), level.size());
-    }
-
-    // Merge the level: deadlocks first (earliest level-position wins so the
-    // pick does not depend on which worker grabbed which block), then the
-    // deduplicated next frontier.
-    std::size_t first_idx = level.size();
-    for (const WorkerOut& out : outs) {
-      result.transitions += out.transitions;
-      for (const auto& [idx, d] : out.deadlocks) {
-        ++result.deadlock_count;
-        if (!result.deadlock_found || idx < first_idx) {
-          result.deadlock_found = true;
-          result.first_deadlock = d;
-          first_idx = idx;
-        }
-      }
-    }
-    std::vector<TermId> next;
-    next.reserve(carried.size());
-    // States discovered for this level's successor by the run this one
-    // resumed: already in `visited`, so they only exist here.
-    next.insert(next.end(), carried.begin(), carried.end());
-    carried.clear();
-    for (WorkerOut& out : outs) {
-      for (const Discovery& d : out.discovered) {
-        if (recording) parent.emplace(d.target, ParentLink{d.source, d.label});
-        ++result.states;
-        next.push_back(d.target);
-      }
-    }
-
-    // A worker observed budget exhaustion mid-level: the partial level is
-    // already merged (states/transitions/deadlocks found so far count);
-    // publish the reason, checkpoint the unexpanded remainder and stop.
-    {
-      const auto ws = static_cast<util::StopReason>(
-          worker_stop.load(std::memory_order_relaxed));
-      if (ws != util::StopReason::None) {
-        result.stop = ws;
-        capture_wavefront(processed, next);
-        break;
-      }
-    }
-
-    if (result.deadlock_found && opts.stop_at_first_deadlock) break;
-    if (result.states >= opts.max_states) {
-      result.stop = util::StopReason::MaxStates;
-      capture_wavefront(level.size(), next);
-      break;
-    }
-    if (next.empty()) {
-      exhausted = true;
-      break;
-    }
-
-    // Level boundary: full budget check (clock + memory probe) while every
-    // worker is quiescent. Memory pressure degrades before it kills — the
-    // parent links are released and the run continues trace-less.
-    const util::BudgetStatus budget = tracker.check_now(result.states);
-    if (budget.signal == util::BudgetSignal::MemoryPressure && recording) {
-      parent = {};
-      recording = false;
-      result.trace_dropped = true;
-      tracker.note_degraded();
-    } else if (budget.signal != util::BudgetSignal::Proceed) {
-      result.stop = budget.reason;
-      capture_wavefront(level.size(), next);
-      break;
-    }
-
-    ++result.depth;
-    level = std::move(next);
-  }
-
-  result.complete =
-      result.stop == util::StopReason::None &&
-      (exhausted || (result.deadlock_found && opts.stop_at_first_deadlock));
-
-  if (result.deadlock_found && recording) reconstruct_trace(result, parent);
-  result.approx_memory_bytes = approx_memory();
-
-  result.worker_states.reserve(workers);
-  for (const WorkerOut& out : outs)
-    result.worker_states.push_back(out.processed);
-  for (const auto& sem : sems) {
-    result.sem_stats.computed += sem->stats().computed;
-    result.sem_stats.memo_hits += sem->stats().memo_hits;
-  }
-  if (reducers[0]->active()) {
-    result.symmetry_groups = opts.symmetry_model->groups().size();
-    // Per-worker memos may fold the same raw state independently; the sum
-    // is an upper estimate (exact at workers == 1).
-    for (const auto& reducer : reducers) {
-      result.states_saved += reducer->stats().states_saved;
-      result.commuted_expansions += reducer->stats().commuted_expansions;
-    }
-  }
-  result.wall_ms = ms_since(t0);
-  return result;
+  acsr::Semantics sem(ctx);
+  return bfs(sem, initial, opts, workers);
 }
 
 Lts build_lts(acsr::Semantics& sem, TermId initial,

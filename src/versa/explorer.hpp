@@ -6,16 +6,15 @@
 // exactly a timing violation (§5); BFS order means the reported failing
 // scenario is a shortest one.
 //
-// Two engines share that contract:
-//   * explore()          — the classic serial BFS;
-//   * explore_parallel() — level-synchronous parallel BFS: each BFS level is
-//     carved into blocks processed by a worker pool, duplicates are resolved
-//     through the visited set (a util::HashIndex in identity mode, striped
-//     locks in shared mode), and workers extend the shared hash-cons tables
-//     under Context shared mode with per-worker Semantics memo caches.
-//     Processing level-by-level preserves the BFS depth invariant, so the
-//     counterexample is still a shortest one and states/transitions are
-//     identical for every worker count.
+// One engine implements that contract. explore() and explore_parallel()
+// run the same serial BFS loop; with more than one worker the loop only
+// gets help computing fans. When the deque holds at least one batch
+// (64 states per worker), the coordinator computes the raw successor fans
+// of the next batch in deque order and a thread pool prioritizes them;
+// the loop then merges those fans one state at a time, exactly as with one
+// worker. Workers intern nothing, so TermIds, fan order and every result
+// field are the same for every worker count (unless a deadline, a cancel
+// or a memory ceiling cuts the run: see explore_parallel).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +30,7 @@ namespace aadlsched::versa {
 
 /// A paused BFS: everything needed to continue an exploration later,
 /// possibly in a different process against a restored Context (see
-/// versa/checkpoint.hpp). The invariant both engines maintain is that every
+/// versa/checkpoint.hpp). The invariant the engine maintains is that every
 /// reachable-but-unvisited state is reachable through `frontier` ++
 /// `next_frontier`, so seeding a fresh run with (visited, frontier,
 /// counters) continues the exact same BFS — same final verdict and, on a
@@ -64,10 +63,9 @@ struct ExploreOptions {
   bool stop_at_first_deadlock = true;
   /// Resource envelope: wall-clock deadline, extra state cap, approximate
   /// memory ceiling, cooperative cancellation. Default = unlimited. The
-  /// serial engine checks per expansion; the parallel engine checks at
-  /// level boundaries plus cheap per-block cancellation/deadline probes, so
-  /// a huge level cannot outlive the budget by more than one block per
-  /// worker. Under memory pressure the engine degrades first — trace
+  /// engine checks before every expansion, whatever the worker count; a
+  /// prefetch batch delays the check by at most one batch of fan
+  /// computation. Under memory pressure the engine degrades first — trace
   /// recording is dropped (ExploreResult::trace_dropped) — and only stops
   /// when pressure persists. See DESIGN.md §10.
   util::RunBudget budget;
@@ -88,8 +86,8 @@ struct ExploreOptions {
   // --- reduction layer (DESIGN.md §13) ---------------------------------
   /// Which reductions to run. Only consulted when `symmetry_model` is set
   /// and active; the default translation produces an empty (inactive)
-  /// model, for which both engines behave bit-identically to a run
-  /// without the layer.
+  /// model, for which the engine behaves bit-identically to a run without
+  /// the layer.
   ReductionOptions reduction;
   /// Translation-time symmetry groups, resolved against the Context.
   /// Null disables the layer entirely. Not owned.
@@ -97,16 +95,9 @@ struct ExploreOptions {
 };
 
 struct ParallelExploreOptions {
-  /// Worker threads for a single-model exploration. 1 runs the level-
-  /// synchronous engine on the calling thread (no pool, no shared-mode
-  /// locking); 0 means hardware concurrency.
+  /// Threads that prioritize prefetched fans for a single-model
+  /// exploration. 1 runs without a pool; 0 means hardware concurrency.
   std::size_t workers = 1;
-  /// Levels smaller than this are expanded inline by the coordinator — the
-  /// automatic serial fallback for the shallow, narrow prefix of the BFS
-  /// where fan-out cannot amortize the barrier.
-  std::size_t serial_frontier_threshold = 128;
-  /// States handed to a worker per grab of the shared level cursor.
-  std::size_t block = 32;
 };
 
 /// One step of a counterexample: the label taken and the state reached.
@@ -154,10 +145,11 @@ struct ExploreResult {
   // --- observability ---------------------------------------------------
   double wall_ms = 0;                 // exploration wall time
   std::uint64_t peak_frontier = 0;    // largest BFS frontier/level seen
-  /// States expanded per worker (one entry for the serial explorer).
+  /// Fans prioritized per worker, one entry per worker. Entry 0 also
+  /// counts the fans the loop computed itself (all of them with one
+  /// worker, a frontier under one batch, or an active reducer).
   std::vector<std::uint64_t> worker_states;
-  /// Aggregated successor-fan memo effectiveness across all Semantics
-  /// instances involved (one per worker).
+  /// Successor-fan memo effectiveness for the fans the run merged.
   acsr::Semantics::Stats sem_stats;
 
   bool schedulable() const { return complete && !deadlock_found; }
@@ -167,17 +159,12 @@ struct ExploreResult {
 ExploreResult explore(acsr::Semantics& sem, acsr::TermId initial,
                       const ExploreOptions& opts = {});
 
-/// Level-synchronous parallel BFS over one model. Constructs one Semantics
-/// per worker on the shared Context (which is put in shared mode for the
-/// duration when workers > 1).
-///
-/// Compared with explore(), the only behavioural difference is stop
-/// granularity: stop_at_first_deadlock and max_states take effect at level
-/// boundaries, so on a deadlocked model the whole deadlock level is counted
-/// (the serial engine stops mid-level). On a fully explored space — any
-/// schedulable model, or stop_at_first_deadlock = false — states,
-/// transitions, verdict and trace length are identical to explore(), and
-/// they are identical across worker counts and runs in every case.
+/// explore() with `popts.workers` threads prioritizing prefetched fans,
+/// on a Semantics of its own over `ctx`. The result equals explore()'s for
+/// every worker count, apart from wall_ms and worker_states. Only the
+/// stops that depend on the clock or the footprint can land elsewhere: a
+/// memory probe also counts the terms the lookahead interned ahead of the
+/// merge.
 ExploreResult explore_parallel(acsr::Context& ctx, acsr::TermId initial,
                                const ExploreOptions& opts = {},
                                const ParallelExploreOptions& popts = {});

@@ -1,4 +1,4 @@
-// State-space reduction layer shared by both explorers (DESIGN.md §13).
+// State-space reduction layer of the explorer (DESIGN.md §13).
 //
 // Two reductions, both driven by the symmetry groups the translator detects
 // (translate::SymmetrySpec) and both provably inert on the default
@@ -28,9 +28,11 @@
 //     fails the check and the full fan is kept. The verification repeats
 //     at every step of the kept chain.
 //
-// The Reducer is per-engine-worker (its memo tables are not synchronized);
-// the SymmetryModel is immutable after build() and shared. Canonicalization
-// interns new terms, which is safe under Context shared mode.
+// The Reducer belongs to one exploration loop (its memo tables are not
+// synchronized); the SymmetryModel is immutable after build() and shared.
+// Canonicalization and linearization intern new terms, so the explorer
+// prefetches no fans while a Reducer is active: lookahead would reorder
+// interning and with it the TermId tie-break of fan order.
 #pragma once
 
 #include <cstdint>
@@ -103,9 +105,9 @@ class SymmetryModel {
   util::FlatIdMap<Tag> event_tags_;
 };
 
-/// Per-worker reduction state: memoized canonicalization and the
-/// commutation rule. Constructed against the worker's Semantics (whose
-/// Context it rebuilds terms in).
+/// Per-run reduction state: memoized canonicalization and the commutation
+/// rule. Constructed against the run's Semantics (whose Context it
+/// rebuilds terms in).
 class Reducer {
  public:
   struct Stats {

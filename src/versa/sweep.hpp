@@ -5,12 +5,10 @@
 //     per job, each with a private Context — run concurrently on a thread
 //     pool. Utilization sweeps are embarrassingly parallel and scale
 //     linearly.
-//   * Within one model: versa::explore_parallel runs a level-synchronous
-//     parallel BFS over a single prioritized transition system, with the
-//     hash-cons tables in Context shared mode and the visited set a
-//     util::HashIndex in identity mode (both lock the index's stripes).
-//     See DESIGN.md §8 for the architecture and the shortest-trace
-//     argument.
+//   * Within one model: versa::explore_parallel runs the serial BFS loop
+//     and lets a thread pool prioritize batches of prefetched successor
+//     fans; the result does not depend on the worker count. See DESIGN.md
+//     §8.
 #pragma once
 
 #include <cstddef>

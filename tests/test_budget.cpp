@@ -210,9 +210,8 @@ TEST(Budget, TrackerDeadline) {
   RunBudget b;
   b.deadline_ms = 0.5;
   BudgetTracker tracker(b, {}, nullptr);
-  EXPECT_TRUE(tracker.has_deadline());
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  const BudgetStatus st = tracker.check_now(1);
+  const BudgetStatus st = tracker.check(1);  // the first call is a full check
   EXPECT_EQ(st.signal, BudgetSignal::Stop);
   EXPECT_EQ(st.reason, StopReason::Deadline);
   EXPECT_GT(tracker.elapsed_ms(), 0.0);
@@ -222,7 +221,7 @@ TEST(Budget, TrackerMemoryDegradesThenStops) {
   RunBudget b;
   b.memory_bytes = 100;
   BudgetTracker tracker(b, [] { return std::uint64_t{200}; }, nullptr);
-  const BudgetStatus first = tracker.check_now(1);
+  const BudgetStatus first = tracker.check(1);  // the first call is full
   EXPECT_EQ(first.signal, BudgetSignal::MemoryPressure);
   EXPECT_EQ(first.reason, StopReason::MemoryBudget);
   EXPECT_EQ(tracker.last_memory_bytes(), 200u);
@@ -230,8 +229,11 @@ TEST(Budget, TrackerMemoryDegradesThenStops) {
   // The engine degrades (drops trace recording)...
   tracker.note_degraded();
   EXPECT_TRUE(tracker.degraded());
-  // ...and sustained pressure afterwards is a hard stop.
-  const BudgetStatus second = tracker.check_now(2);
+  // ...and sustained pressure at the next full check (every kStride-th
+  // call) is a hard stop.
+  for (std::uint64_t i = 1; i < BudgetTracker::kStride; ++i)
+    EXPECT_EQ(tracker.check(2).signal, BudgetSignal::Proceed);
+  const BudgetStatus second = tracker.check(2);
   EXPECT_EQ(second.signal, BudgetSignal::Stop);
   EXPECT_EQ(second.reason, StopReason::MemoryBudget);
 }
@@ -329,15 +331,14 @@ TEST(BudgetExplore, SerialPersistentMemoryPressureStops) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel explorer: budgets observed mid-level, equivalence preserved.
+// Parallel explorer: the same budget checks, on the same states, as the
+// serial run.
 
 ExploreResult explore_storm_parallel(const ExploreOptions& opts,
                                      std::size_t workers) {
   acsr::Context ctx;
   ParallelExploreOptions popts;
   popts.workers = workers;
-  popts.serial_frontier_threshold = 0;  // pooled blocks from level one
-  popts.block = 8;
   return versa::explore_parallel(
       ctx, build_initial(ctx, read_model("storm.aadl"), "Storm.impl",
                          1'000'000),
@@ -346,8 +347,8 @@ ExploreResult explore_storm_parallel(const ExploreOptions& opts,
 
 TEST(BudgetExplore, ParallelInjectedDeadlineMidLevel) {
   InjectorGuard guard;
-  // Workers probe the injector per block; the 40th probe reports Deadline,
-  // landing mid-level (not at a barrier) with the pooled path forced on.
+  // The loop's 40th full budget check (about 10k expansions in, mid-level)
+  // reports Deadline.
   FaultInjector::global().arm(FaultInjector::Site::BudgetCheck, 40,
                               StopReason::Deadline);
   const ExploreResult r = explore_storm_parallel({}, 2);
@@ -372,7 +373,46 @@ TEST(BudgetExplore, ParallelMaxStatesBudget) {
   const ExploreResult r = explore_storm_parallel(opts, 2);
   EXPECT_EQ(r.stop, StopReason::MaxStates);
   EXPECT_FALSE(r.complete);
-  EXPECT_GE(r.states, 300u);  // level granularity may overshoot the cap
+  const ExploreResult serial = explore_storm(opts);
+  EXPECT_EQ(r.states, serial.states);
+  EXPECT_EQ(r.transitions, serial.transitions);
+  EXPECT_EQ(r.depth, serial.depth);
+}
+
+TEST(BudgetExplore, ParallelStopPausesOnTheSerialState) {
+  // symmetric.aadl at 10 ms widens past a 4-worker batch (256 states), so
+  // the stop lands while fans are prefetched ahead of the merge; the run
+  // must still pause on the serial run's state, with the same wavefront.
+  const std::string src = read_model("symmetric.aadl");
+  const auto run = [&](std::size_t workers, versa::Wavefront& wave) {
+    InjectorGuard guard;
+    FaultInjector::global().arm(FaultInjector::Site::BudgetCheck, 2,
+                                StopReason::Deadline);
+    acsr::Context ctx;
+    ExploreOptions opts;
+    opts.capture = &wave;
+    ParallelExploreOptions popts;
+    popts.workers = workers;
+    return versa::explore_parallel(
+        ctx, build_initial(ctx, src, "Symmetric.impl", 10'000'000), opts,
+        popts);
+  };
+  versa::Wavefront ws, wp;
+  const ExploreResult serial = run(1, ws);
+  const ExploreResult par = run(4, wp);
+  ASSERT_EQ(serial.stop, StopReason::Deadline);
+  ASSERT_GE(ws.frontier.size() + ws.next_frontier.size(), 256u)
+      << "the frontier no longer fills a 4-worker batch at the stop";
+  EXPECT_EQ(par.stop, serial.stop);
+  EXPECT_EQ(par.states, serial.states);
+  EXPECT_EQ(par.transitions, serial.transitions);
+  EXPECT_EQ(par.depth, serial.depth);
+  EXPECT_EQ(par.peak_frontier, serial.peak_frontier);
+  EXPECT_EQ(par.sem_stats.computed, serial.sem_stats.computed);
+  EXPECT_EQ(par.sem_stats.memo_hits, serial.sem_stats.memo_hits);
+  EXPECT_EQ(wp.frontier, ws.frontier);
+  EXPECT_EQ(wp.next_frontier, ws.next_frontier);
+  EXPECT_EQ(wp.visited, ws.visited);
 }
 
 TEST(BudgetExplore, GenerousBudgetsDoNotPerturbEquivalence) {
@@ -393,7 +433,6 @@ TEST(BudgetExplore, GenerousBudgetsDoNotPerturbEquivalence) {
   acsr::Context c2;
   ParallelExploreOptions popts;
   popts.workers = 2;
-  popts.serial_frontier_threshold = 16;
   const ExploreResult par = versa::explore_parallel(
       c2, build_initial(c2, src, "CruiseControlSystem.impl", 10'000'000),
       opts, popts);

@@ -79,9 +79,8 @@ end Med;
 }
 
 /// Three independent processors, each with two range-time threads: ~7k
-/// states with a BFS frontier peaking over 1000 — wide enough that the
-/// parallel explorer's worker pool (not its narrow-level serial fallback)
-/// carries the bulk of the space.
+/// states with a BFS frontier peaking over 1000 — wide enough that 4
+/// workers (256-state batches) prefetch the bulk of the space.
 std::string wide_model() {
   return R"(package Wide
 public
@@ -333,17 +332,18 @@ TEST(Checkpoint, ResumeFindsDeadlockBeyondTheOldBudget) {
   EXPECT_FALSE(resumed.scenario.has_value());
 }
 
-// --- parallel engine ----------------------------------------------------
+// --- worker counts ------------------------------------------------------
 
 TEST(Checkpoint, ParallelCaptureResumesToTheColdVerdict) {
   core::AnalyzerOptions par = base_options();
   par.parallel.workers = 4;
-  par.parallel.serial_frontier_threshold = 1;  // no serial-fallback window
 
   const auto cold = core::analyze_source(wide_model(), "Root.impl", par);
   ASSERT_EQ(cold.outcome, core::Outcome::Schedulable);
+  const auto serial_cold =
+      core::analyze_source(wide_model(), "Root.impl", base_options());
 
-  // Capture from the pool path.
+  // Capture from a 4-worker run, while fans are prefetched.
   core::AnalyzerOptions bound = par;
   bound.exploration.max_states = 1500;
   std::string blob;
@@ -352,9 +352,8 @@ TEST(Checkpoint, ParallelCaptureResumesToTheColdVerdict) {
   ASSERT_EQ(first.outcome, core::Outcome::Inconclusive);
   ASSERT_TRUE(first.checkpoint_captured);
 
-  // Resume on the parallel engine: byte-identical to the parallel cold run
-  // (the engines count peak_frontier differently — deque size vs level
-  // size — so byte-identity is a same-engine property).
+  // Resume with 4 workers: byte-identical to the cold runs, serial and
+  // parallel alike.
   core::AnalyzerOptions warm = par;
   warm.resume_checkpoint = &blob;
   const auto resumed = core::analyze_source(wide_model(), "Root.impl", warm);
@@ -365,9 +364,11 @@ TEST(Checkpoint, ParallelCaptureResumesToTheColdVerdict) {
   EXPECT_EQ(resumed.depth, cold.depth);
   EXPECT_EQ(normalize_explore_ms(core::render_result_json(resumed)),
             normalize_explore_ms(core::render_result_json(cold)));
+  EXPECT_EQ(normalize_explore_ms(core::render_result_json(cold)),
+            normalize_explore_ms(core::render_result_json(serial_cold)));
 
-  // The same checkpoint resumes on the serial engine too — the wavefront
-  // format is engine-agnostic; verdict and counts must agree.
+  // The same checkpoint resumes with one worker too; verdict and counts
+  // must agree.
   core::AnalyzerOptions warm_serial = base_options();
   warm_serial.resume_checkpoint = &blob;
   const auto serial =
@@ -392,7 +393,6 @@ TEST(Checkpoint, SerialCaptureResumesOnTheParallelEngine) {
 
   core::AnalyzerOptions warm = base_options();
   warm.parallel.workers = 4;
-  warm.parallel.serial_frontier_threshold = 1;
   warm.resume_checkpoint = &blob;
   const auto resumed = core::analyze_source(medium_model(), "Root.impl", warm);
   EXPECT_TRUE(resumed.resumed);

@@ -86,6 +86,8 @@ TEST(ExpSpec, RejectsMalformedDocuments) {
   rejects(R"({"grid": {"policy": []}})", "non-empty");
   rejects(R"({"seeds": {"count": 0}})", "count");
   rejects(R"({"bin_width": 0})", "bin_width");
+  rejects(R"({"workers": -1})", "workers");
+  rejects(R"({"workers": 65537})", "workers");
 }
 
 // The regression that motivated this harness: an empty period set reached

@@ -1,7 +1,6 @@
 // Tests for util::HashIndex, the content-addressed index behind every
-// hash-cons table and the parallel explorer's visited set, and for the
-// chunked append-only storage the tables keep their entries in. The
-// concurrent cases run under the tsan ctest label.
+// hash-cons table, and for the chunked append-only storage the tables keep
+// their entries in. The concurrent cases run under the tsan ctest label.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,52 +38,6 @@ struct StringTable {
                       [&](std::uint32_t id) { return storage[id] == s; });
   }
 };
-
-TEST(HashIndex, InsertIsIdempotent) {
-  util::HashIndex set;
-  EXPECT_TRUE(set.insert(42));
-  EXPECT_FALSE(set.insert(42));
-  EXPECT_EQ(set.size(), 1u);
-  EXPECT_TRUE(set.insert(7));
-  EXPECT_EQ(set.size(), 2u);
-}
-
-TEST(HashIndex, HandlesZeroKeyAndGrowth) {
-  util::HashIndex set;
-  EXPECT_TRUE(set.insert(0));
-  EXPECT_FALSE(set.insert(0));
-  // Push far past the first allocation to force every stripe to grow.
-  for (std::uint32_t k = 1; k < 10'000; ++k) EXPECT_TRUE(set.insert(k));
-  for (std::uint32_t k = 0; k < 10'000; ++k) EXPECT_FALSE(set.insert(k));
-  EXPECT_EQ(set.size(), 10'000u);
-  std::vector<std::uint32_t> all;
-  set.for_each([&](std::uint32_t k) { all.push_back(k); });
-  std::sort(all.begin(), all.end());
-  ASSERT_EQ(all.size(), 10'000u);
-  EXPECT_EQ(all.front(), 0u);
-  EXPECT_EQ(all.back(), 9'999u);
-}
-
-TEST(HashIndex, ConcurrentInsertersClaimEachKeyOnce) {
-  constexpr std::uint32_t kKeys = 50'000;
-  constexpr std::size_t kThreads = 8;
-  util::HashIndex set;  // starts empty: exercises growth under contention
-  set.set_shared(true);
-  std::vector<std::uint64_t> wins(kThreads, 0);
-  std::vector<std::thread> threads;
-  // Every thread tries to insert every key; exactly one may win each.
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::uint32_t k = 0; k < kKeys; ++k)
-        if (set.insert(k * 2654435761u)) ++wins[t];
-    });
-  }
-  for (auto& th : threads) th.join();
-  std::uint64_t total = 0;
-  for (std::uint64_t w : wins) total += w;
-  EXPECT_EQ(total, kKeys);
-  EXPECT_EQ(set.size(), kKeys);
-}
 
 TEST(HashIndex, IdsFollowPublishOrder) {
   StringTable t;

@@ -1,15 +1,15 @@
 // Reduction-layer gating (DESIGN.md §13). Two families of guarantees:
 //
 //   * Inertness on the default translation: for EVERY shipped example
-//     model, analyzed with reductions on vs. off, on the serial and the
-//     parallel engine, the canonical result JSON is byte-identical
+//     model, analyzed with reductions on vs. off, with 1 and 4 workers, at
+//     1 ms and 10 ms, the canonical result JSON is byte-identical
 //     (explore_ms aside). Under ordered instants the translator's symmetry
 //     groups are empty by construction, so the layer must not perturb a
-//     single byte — counts included.
+//     single byte — counts included — and neither may the worker count.
 //
 //   * Real reductions under uniform instants: translated with
 //     ordered_instants off, the symmetric fixture's interchangeable
-//     threads form a group, both engines reach the same verdict as a
+//     threads form a group, 1 and 4 workers reach the same verdict as a
 //     reduction-free run, and the representative count is at least 2x
 //     smaller (the E11 acceptance bar).
 #include <gtest/gtest.h>
@@ -55,9 +55,9 @@ std::string read_model(const std::string& file) {
   return os.str();
 }
 
-core::AnalyzerOptions base_options() {
+core::AnalyzerOptions base_options(std::int64_t quantum_ns = 1'000'000) {
   core::AnalyzerOptions opts;
-  opts.translation.quantum_ns = 1'000'000;
+  opts.translation.quantum_ns = quantum_ns;
   opts.run_lint = false;  // the comparison targets exploration, not lint
   // storm.aadl is deliberately explosive; a bounded Inconclusive result is
   // still a canonical result object and must be equally reduction-invariant.
@@ -88,32 +88,41 @@ TEST(ReductionEquivalence, DirectoryIsFullyCovered) {
   }
 }
 
-/// The full on/off x serial/parallel matrix, one model per iteration.
-/// Byte-identity is a same-engine property (the engines count
-/// peak_frontier differently), so the comparison pairs each engine with
-/// itself.
+/// The full on/off x 1/4 workers x 1/10 ms matrix, one model per
+/// iteration. Every JSON of one model at one quantum must be the workers=1,
+/// reductions-on JSON.
 TEST(ReductionEquivalence, ResultJsonIsByteIdenticalOnEveryExampleModel) {
   for (const ExampleModel& m : kExamples) {
     const std::string src = read_model(m.file);
-    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-      core::AnalyzerOptions on = base_options();
-      on.parallel.workers = workers;
-      on.parallel.serial_frontier_threshold = 1;
-      core::AnalyzerOptions off = on;
-      off.no_reduction = true;
+    for (const std::int64_t quantum_ns : {1'000'000, 10'000'000}) {
+      const std::string where = std::string(m.file) + " at " +
+                                std::to_string(quantum_ns / 1'000'000) +
+                                " ms";
+      std::string reference;
+      for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+        core::AnalyzerOptions on = base_options(quantum_ns);
+        on.parallel.workers = workers;
+        core::AnalyzerOptions off = on;
+        off.no_reduction = true;
 
-      const auto r_on = core::analyze_source(src, m.root, on);
-      const auto r_off = core::analyze_source(src, m.root, off);
-      ASSERT_TRUE(r_on.ok) << m.file << ": " << r_on.diagnostics;
-      EXPECT_EQ(r_on.outcome, r_off.outcome) << m.file;
-      EXPECT_EQ(r_on.states, r_off.states) << m.file;
-      EXPECT_EQ(r_on.transitions, r_off.transitions) << m.file;
-      EXPECT_EQ(normalize_explore_ms(core::render_result_json(r_on)),
-                normalize_explore_ms(core::render_result_json(r_off)))
-          << m.file << " with " << workers << " worker(s)";
-      // Default translation: no groups can form, the layer reports inert.
-      EXPECT_EQ(r_on.symmetry_groups, 0u) << m.file;
-      EXPECT_EQ(r_on.states_saved, 0u) << m.file;
+        const auto r_on = core::analyze_source(src, m.root, on);
+        const auto r_off = core::analyze_source(src, m.root, off);
+        ASSERT_TRUE(r_on.ok) << where << ": " << r_on.diagnostics;
+        EXPECT_EQ(r_on.outcome, r_off.outcome) << where;
+        EXPECT_EQ(r_on.states, r_off.states) << where;
+        EXPECT_EQ(r_on.transitions, r_off.transitions) << where;
+        const std::string json_on =
+            normalize_explore_ms(core::render_result_json(r_on));
+        EXPECT_EQ(json_on,
+                  normalize_explore_ms(core::render_result_json(r_off)))
+            << where << " with " << workers << " worker(s)";
+        if (reference.empty()) reference = json_on;
+        EXPECT_EQ(json_on, reference)
+            << where << ": " << workers << " workers vs 1";
+        // Default translation: no groups can form, the layer reports inert.
+        EXPECT_EQ(r_on.symmetry_groups, 0u) << where;
+        EXPECT_EQ(r_on.states_saved, 0u) << where;
+      }
     }
   }
 }
@@ -159,7 +168,6 @@ TEST(ReductionEffect, EnginesAgreeOnTheReducedSpace) {
 
   core::AnalyzerOptions par = uniform_options();
   par.parallel.workers = 4;
-  par.parallel.serial_frontier_threshold = 1;
   const auto parallel = core::analyze_source(src, "Symmetric.impl", par);
 
   ASSERT_TRUE(serial.ok);

@@ -12,8 +12,9 @@
 //                          observer); repeatable
 //   --late-completion      use the literal Fig. 5 execution-time model
 //   --max-states <n>       exploration bound (default 5,000,000)
-//   --workers <n>          parallel exploration workers (default 1 =
-//                          serial; 0 = hardware concurrency)
+//   --workers <n>          threads prioritizing prefetched successor fans
+//                          (default 1 = none; 0 = hardware concurrency);
+//                          the result does not depend on it
 //   --deadline-ms <n>      wall-clock budget per analysis; an expired run
 //                          reports INCONCLUSIVE (deadline) with partial
 //                          stats instead of hanging
