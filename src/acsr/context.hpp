@@ -11,7 +11,7 @@
 // mode that index takes its stripe lock on each probe and its publish lock
 // on each append, so several threads may extend the term DAG concurrently.
 // The unfold memo shares the term index's publish lock. The explorer does
-// not use it (its pool threads intern nothing), and sweeps over independent
+// not use it (it explores on one thread), and sweeps over independent
 // model variants use one Context per job (they are cheap to create).
 #pragma once
 

@@ -397,14 +397,6 @@ std::string AnalysisResult::summary() const {
     os << "\nreduction: symmetry groups: " << symmetry_groups
        << ", states saved: " << states_saved << ", commuted expansions: "
        << commuted_expansions;
-  if (worker_states.size() > 1) {
-    os << ", per-worker fans [";
-    for (std::size_t i = 0; i < worker_states.size(); ++i) {
-      if (i) os << ' ';
-      os << worker_states[i];
-    }
-    os << ']';
-  }
   return os.str();
 }
 

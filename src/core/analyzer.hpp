@@ -36,9 +36,8 @@ struct AnalyzerOptions {
   versa::ExploreOptions exploration;
   /// Exploration engine selection (see Engine above).
   Engine engine = Engine::Enumerative;
-  /// Threads that prioritize prefetched fans in versa::explore_parallel
-  /// (1 = none, the default; 0 = hardware concurrency). The result does
-  /// not depend on it.
+  /// Worker count handed to versa::explore_parallel (0 = hardware
+  /// concurrency). Exploration is serial: it only sizes worker_states.
   versa::ParallelExploreOptions parallel;
 
   /// Run the static analysis front door (src/lint) before translating.
@@ -153,7 +152,7 @@ struct AnalysisResult {
   std::uint64_t peak_frontier = 0;
   std::uint64_t fans_computed = 0;   // successor fans computed
   std::uint64_t memo_hits = 0;       // fans served from a memo cache
-  std::vector<std::uint64_t> worker_states;  // fans prioritized per worker
+  std::vector<std::uint64_t> worker_states;  // fans expanded per worker
 
   /// Engine that produced (or would have produced) the verdict:
   /// "enumerative" or "symbolic". Part of the canonical result JSON — the

@@ -37,8 +37,8 @@ std::string options_key(const RequestOptions& ro) {
   // engine-observability fields ("engine", states-as-zones), so one key
   // must never serve both.
   // `workers` is deliberately absent: the worker count cannot change a
-  // result (one BFS loop; the pool only prioritizes prefetched fans), so a
-  // result computed with any count may serve them all.
+  // result (explore_parallel runs the one serial BFS loop), so a result
+  // computed with any count may serve them all.
   // ReductionEquivalence.ResultJsonIsByteIdenticalOnEveryExampleModel
   // holds that to byte identity on every shipped model.
   std::uint64_t h = util::fnv1a("options-v4");

@@ -163,7 +163,7 @@ struct BudgetStatus {
 };
 
 /// Per-run governor. Single-threaded: owned by the exploration loop, which
-/// calls it between expansions, never while its prefetch pool is busy.
+/// calls it between expansions.
 class BudgetTracker {
  public:
   /// `memory_fn` estimates current footprint in bytes (sampled only on

@@ -12,7 +12,7 @@
 // appends only from inside util::HashIndex::intern, which holds the index's
 // publish lock. The synchronization contract is the usual hash-cons one: an
 // index only reaches a reader through a lock-protected structure (the
-// HashIndex stripe the id was published in, a thread pool's task queue),
+// HashIndex stripe the id was published in, a thread's start or join),
 // which establishes the happens-before edge for the chunk contents.
 #pragma once
 

@@ -1,7 +1,5 @@
-// Minimal work-stealing-free thread pool used by the state-space explorer
-// and by versa::parallel_sweep. The explorer hands it one prefetch batch of
-// fans to prioritize at a time and waits for it to go idle; the sweep
-// submits one job per model. A simple shared queue with a condition
+// Minimal work-stealing-free thread pool used by versa::parallel_sweep,
+// which submits one job per model. A simple shared queue with a condition
 // variable is both sufficient and easy to reason about.
 #pragma once
 

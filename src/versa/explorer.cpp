@@ -1,16 +1,11 @@
 #include "versa/explorer.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
 #include <chrono>
 #include <deque>
-#include <optional>
 #include <thread>
 
-#include "acsr/preemption.hpp"
 #include "util/flat_set.hpp"
-#include "util/thread_pool.hpp"
 
 namespace aadlsched::versa {
 
@@ -57,25 +52,14 @@ void reconstruct_trace(ExploreResult& result,
   result.trace = std::move(rev);
 }
 
-/// Fans per worker in one prefetch batch. A batch costs one pool round
-/// trip, which 64 prioritizations per worker amortize.
-constexpr std::size_t kFansPerWorker = 64;
+}  // namespace
 
-/// A fan computed ahead of the merge, for one state at the deque front.
-struct Prefetched {
-  TermId state = acsr::kNil;
-  std::vector<Transition> fan;
-  acsr::Semantics::Stats stats;  // what computing the raw fan cost the memo
-  std::size_t worker = 0;        // who prioritized it
-};
-
-/// The one BFS loop behind explore() and explore_parallel().
-ExploreResult bfs(acsr::Semantics& sem, TermId initial,
-                  const ExploreOptions& opts, std::size_t workers) {
+ExploreResult explore(acsr::Semantics& sem, TermId initial,
+                      const ExploreOptions& opts) {
   const auto t0 = Clock::now();
   const acsr::Semantics::Stats stats_before = sem.stats();
   ExploreResult result;
-  result.worker_states.assign(workers, 0);
+  result.worker_states.assign(1, 0);
 
   Reducer reducer(sem, opts.symmetry_model, opts.reduction);
   // All stored states are canonical orbit representatives (identity when
@@ -125,53 +109,6 @@ ExploreResult bfs(acsr::Semantics& sem, TermId initial,
     result.peak_frontier = 1;
   }
 
-  // Prefetch. Only prioritization runs on the pool: it reads the action
-  // table and interns nothing, so TermIds are handed out in the same order
-  // as with one worker, and fan order (ties broken by TermId) cannot
-  // depend on scheduling. With an active reducer, linearization and
-  // canonicalization intern between two fans, so lookahead would reorder
-  // interning; the loop then stays one-fan-at-a-time.
-  const acsr::ActionTable& actions = sem.context().actions();
-  const bool prefetch = workers > 1 && !reducer.active();
-  const std::size_t batch = workers * kFansPerWorker;
-  std::optional<util::ThreadPool> pool;  // started by the first batch
-  std::vector<Prefetched> ahead;
-  std::size_t ahead_next = 0;
-
-  // The prioritized fan of `state`, just popped off the deque front. When
-  // the deque holds at least one more batch, the coordinator computes the
-  // raw fans of `state` and the states queued behind it, in deque order,
-  // and the pool prioritizes them while the coordinator waits.
-  const auto next_fan = [&](TermId state) -> std::vector<Transition> {
-    if (ahead_next == ahead.size() && prefetch &&
-        frontier.size() + 1 >= batch) {
-      if (!pool) pool.emplace(workers);
-      ahead.assign(batch, {});
-      ahead_next = 0;
-      for (std::size_t i = 0; i < batch; ++i) {
-        const acsr::Semantics::Stats before = sem.stats();
-        ahead[i].state = i == 0 ? state : frontier[i - 1];
-        ahead[i].fan = sem.transitions(ahead[i].state);
-        ahead[i].stats.computed = sem.stats().computed - before.computed;
-        ahead[i].stats.memo_hits = sem.stats().memo_hits - before.memo_hits;
-      }
-      std::atomic<std::size_t> cursor{0};
-      pool->parallel_for(workers, [&](std::size_t w) {
-        for (std::size_t i = cursor++; i < batch; i = cursor++) {
-          acsr::prioritize(actions, ahead[i].fan);
-          ahead[i].worker = w;
-        }
-      });
-    }
-    if (ahead_next == ahead.size()) {
-      ++result.worker_states[0];
-      return sem.prioritized(state);
-    }
-    assert(ahead[ahead_next].state == state);
-    ++result.worker_states[ahead[ahead_next].worker];
-    return std::move(ahead[ahead_next++].fan);
-  };
-
   // Hash-cons tables + fan memo + flat visited/parent tables + frontier.
   // The flat tables report their actual footprint, not a per-node guess.
   const auto approx_memory = [&]() -> std::uint64_t {
@@ -182,17 +119,9 @@ ExploreResult bfs(acsr::Semantics& sem, TermId initial,
   util::BudgetTracker tracker(opts.budget, approx_memory);
 
   const auto finish = [&] {
-    // Fans prefetched past a stop were never merged; leave their memo
-    // traffic out so the counters match a one-worker run.
-    acsr::Semantics::Stats unmerged;
-    for (std::size_t i = ahead_next; i < ahead.size(); ++i) {
-      unmerged.computed += ahead[i].stats.computed;
-      unmerged.memo_hits += ahead[i].stats.memo_hits;
-    }
-    result.sem_stats.computed =
-        sem.stats().computed - stats_before.computed - unmerged.computed;
+    result.sem_stats.computed = sem.stats().computed - stats_before.computed;
     result.sem_stats.memo_hits =
-        sem.stats().memo_hits - stats_before.memo_hits - unmerged.memo_hits;
+        sem.stats().memo_hits - stats_before.memo_hits;
     // Reported even when no memory budget probed it, so bytes/state can be
     // read off any run.
     result.approx_memory_bytes = approx_memory();
@@ -263,7 +192,8 @@ ExploreResult bfs(acsr::Semantics& sem, TermId initial,
     frontier.pop_front();
     --level_remaining;
 
-    std::vector<Transition> fan = next_fan(state);
+    std::vector<Transition> fan = sem.prioritized(state);
+    ++result.worker_states[0];
     if (is_stuck(state, fan)) {
       ++result.deadlock_count;
       if (!result.deadlock_found) {
@@ -296,13 +226,6 @@ ExploreResult bfs(acsr::Semantics& sem, TermId initial,
   return result;
 }
 
-}  // namespace
-
-ExploreResult explore(acsr::Semantics& sem, TermId initial,
-                      const ExploreOptions& opts) {
-  return bfs(sem, initial, opts, 1);
-}
-
 ExploreResult explore_parallel(acsr::Context& ctx, TermId initial,
                                const ExploreOptions& opts,
                                const ParallelExploreOptions& popts) {
@@ -310,7 +233,9 @@ ExploreResult explore_parallel(acsr::Context& ctx, TermId initial,
   if (workers == 0)
     workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   acsr::Semantics sem(ctx);
-  return bfs(sem, initial, opts, workers);
+  ExploreResult result = explore(sem, initial, opts);
+  result.worker_states.resize(workers, 0);
+  return result;
 }
 
 Lts build_lts(acsr::Semantics& sem, TermId initial,

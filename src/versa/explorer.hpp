@@ -6,15 +6,11 @@
 // exactly a timing violation (§5); BFS order means the reported failing
 // scenario is a shortest one.
 //
-// One engine implements that contract. explore() and explore_parallel()
-// run the same serial BFS loop; with more than one worker the loop only
-// gets help computing fans. When the deque holds at least one batch
-// (64 states per worker), the coordinator computes the raw successor fans
-// of the next batch in deque order and a thread pool prioritizes them;
-// the loop then merges those fans one state at a time, exactly as with one
-// worker. Workers intern nothing, so TermIds, fan order and every result
-// field are the same for every worker count (unless a deadline, a cancel
-// or a memory ceiling cuts the run: see explore_parallel).
+// One BFS loop, explore(), implements that contract. explore_parallel()
+// keeps the multi-worker entry point: it runs explore() on a Semantics of
+// its own, so the worker count cannot change a result. Parallelism lives
+// across models (versa::parallel_sweep, the service pool), not inside one
+// exploration; see DESIGN.md §8.
 #pragma once
 
 #include <cstdint>
@@ -63,9 +59,9 @@ struct ExploreOptions {
   bool stop_at_first_deadlock = true;
   /// Resource envelope: wall-clock deadline, extra state cap, approximate
   /// memory ceiling, cooperative cancellation. Default = unlimited. The
-  /// engine checks before every expansion, whatever the worker count; a
-  /// prefetch batch delays the check by at most one batch of fan
-  /// computation. Under memory pressure the engine degrades first — trace
+  /// engine checks before every expansion (the tracker samples the clock
+  /// and the footprint every few calls). Under memory pressure the engine
+  /// degrades first — trace
   /// recording is dropped (ExploreResult::trace_dropped) — and only stops
   /// when pressure persists. See DESIGN.md §10.
   util::RunBudget budget;
@@ -95,8 +91,8 @@ struct ExploreOptions {
 };
 
 struct ParallelExploreOptions {
-  /// Threads that prioritize prefetched fans for a single-model
-  /// exploration. 1 runs without a pool; 0 means hardware concurrency.
+  /// Worker count a caller asked for (0 = hardware concurrency). It only
+  /// sizes ExploreResult::worker_states: the exploration is serial.
   std::size_t workers = 1;
 };
 
@@ -145,9 +141,8 @@ struct ExploreResult {
   // --- observability ---------------------------------------------------
   double wall_ms = 0;                 // exploration wall time
   std::uint64_t peak_frontier = 0;    // largest BFS frontier/level seen
-  /// Fans prioritized per worker, one entry per worker. Entry 0 also
-  /// counts the fans the loop computed itself (all of them with one
-  /// worker, a frontier under one batch, or an active reducer).
+  /// Fans expanded per worker, one entry per requested worker. The loop
+  /// is serial, so entry 0 counts every fan and the others stay 0.
   std::vector<std::uint64_t> worker_states;
   /// Successor-fan memo effectiveness for the fans the run merged.
   acsr::Semantics::Stats sem_stats;
@@ -159,12 +154,8 @@ struct ExploreResult {
 ExploreResult explore(acsr::Semantics& sem, acsr::TermId initial,
                       const ExploreOptions& opts = {});
 
-/// explore() with `popts.workers` threads prioritizing prefetched fans,
-/// on a Semantics of its own over `ctx`. The result equals explore()'s for
-/// every worker count, apart from wall_ms and worker_states. Only the
-/// stops that depend on the clock or the footprint can land elsewhere: a
-/// memory probe also counts the terms the lookahead interned ahead of the
-/// merge.
+/// explore() on a Semantics of its own over `ctx`, with worker_states
+/// sized to `popts.workers`. Every other result field equals explore()'s.
 ExploreResult explore_parallel(acsr::Context& ctx, acsr::TermId initial,
                                const ExploreOptions& opts = {},
                                const ParallelExploreOptions& popts = {});

@@ -30,9 +30,7 @@
 //
 // The Reducer belongs to one exploration loop (its memo tables are not
 // synchronized); the SymmetryModel is immutable after build() and shared.
-// Canonicalization and linearization intern new terms, so the explorer
-// prefetches no fans while a Reducer is active: lookahead would reorder
-// interning and with it the TermId tie-break of fan order.
+// Canonicalization and linearization intern new terms on the loop thread.
 #pragma once
 
 #include <cstdint>

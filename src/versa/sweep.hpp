@@ -5,10 +5,9 @@
 //     per job, each with a private Context — run concurrently on a thread
 //     pool. Utilization sweeps are embarrassingly parallel and scale
 //     linearly.
-//   * Within one model: versa::explore_parallel runs the serial BFS loop
-//     and lets a thread pool prioritize batches of prefetched successor
-//     fans; the result does not depend on the worker count. See DESIGN.md
-//     §8.
+//   * Within one model: none. versa::explore_parallel runs the one serial
+//     BFS loop, so the result does not depend on the worker count. See
+//     DESIGN.md §8.
 #pragma once
 
 #include <cstddef>

@@ -79,8 +79,7 @@ end Med;
 }
 
 /// Three independent processors, each with two range-time threads: ~7k
-/// states with a BFS frontier peaking over 1000 — wide enough that 4
-/// workers (256-state batches) prefetch the bulk of the space.
+/// states with a BFS frontier peaking over 1000.
 std::string wide_model() {
   return R"(package Wide
 public
@@ -343,7 +342,7 @@ TEST(Checkpoint, ParallelCaptureResumesToTheColdVerdict) {
   const auto serial_cold =
       core::analyze_source(wide_model(), "Root.impl", base_options());
 
-  // Capture from a 4-worker run, while fans are prefetched.
+  // Capture from a 4-worker run.
   core::AnalyzerOptions bound = par;
   bound.exploration.max_states = 1500;
   std::string blob;

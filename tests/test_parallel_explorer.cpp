@@ -1,12 +1,10 @@
 // Serial/parallel equivalence of the state-space explorer.
 //
-// explore_parallel runs explore()'s loop and only lets a pool prioritize
-// prefetched fans, so every result field must match the serial run
-// exactly — counts, depth, peak frontier, first deadlock, trace and memo
-// counters — on the shipped example models, on seeded random workloads,
-// with or without stopping at the first deadlock, and across repeated runs.
-// symmetric.aadl at 10 ms reaches a 638-state frontier, so 4 workers (a
-// 256-state batch) run the pooled path there.
+// explore_parallel runs explore()'s loop on a Semantics of its own, so
+// every result field must match the serial run exactly — counts, depth,
+// peak frontier, first deadlock, trace and memo counters — on the shipped
+// example models, on seeded random workloads, with or without stopping at
+// the first deadlock, and across repeated runs.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -177,10 +175,11 @@ TEST(ParallelExplorer, HardwareWorkerCountRuns) {
       ctx, build_initial(ctx, src, "CruiseControlSystem.impl", 10'000'000),
       {}, popts);
   EXPECT_TRUE(r.complete);
-  EXPECT_GE(r.worker_states.size(), 1u);
-  std::uint64_t expanded = 0;
-  for (std::uint64_t w : r.worker_states) expanded += w;
-  EXPECT_EQ(expanded, r.states);  // schedulable: every state expanded once
+  ASSERT_GE(r.worker_states.size(), 1u);
+  // Schedulable: every state expanded once, all of them by the one loop.
+  EXPECT_EQ(r.worker_states[0], r.states);
+  for (std::size_t w = 1; w < r.worker_states.size(); ++w)
+    EXPECT_EQ(r.worker_states[w], 0u);
   EXPECT_GT(r.sem_stats.computed, 0u);
   EXPECT_GE(r.wall_ms, 0.0);
   EXPECT_GE(r.peak_frontier, 1u);

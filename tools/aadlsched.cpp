@@ -12,9 +12,8 @@
 //                          observer); repeatable
 //   --late-completion      use the literal Fig. 5 execution-time model
 //   --max-states <n>       exploration bound (default 5,000,000)
-//   --workers <n>          threads prioritizing prefetched successor fans
-//                          (default 1 = none; 0 = hardware concurrency);
-//                          the result does not depend on it
+//   --workers <n>          accepted for compatibility (default 1; 0 =
+//                          hardware); exploration is serial either way
 //   --deadline-ms <n>      wall-clock budget per analysis; an expired run
 //                          reports INCONCLUSIVE (deadline) with partial
 //                          stats instead of hanging
