@@ -62,10 +62,6 @@ class ActionTable {
            index_.approx_bytes();
   }
 
-  /// See TermTable::set_shared_mode: locked interning for concurrent
-  /// callers (Par3 merges intern new combined actions on the hot path).
-  void set_shared_mode(bool shared) { index_.set_shared(shared); }
-
  private:
   util::ChunkedVector<std::vector<ResourceUse>, 8> actions_;
   util::HashIndex index_;
@@ -83,8 +79,6 @@ class EventSetTable {
   std::size_t approx_bytes() const {
     return sets_.size() * sizeof(std::vector<Event>) + index_.approx_bytes();
   }
-
-  void set_shared_mode(bool shared) { index_.set_shared(shared); }
 
  private:
   util::ChunkedVector<std::vector<Event>, 8> sets_;

@@ -202,10 +202,7 @@ TermId Context::instantiate(OpenTermId open_id,
 }
 
 TermId Context::unfold(TermId call_term) {
-  {
-    const auto lk = terms_.publish_lock();
-    if (const TermId* hit = unfold_memo_.find(call_term)) return *hit;
-  }
+  if (const TermId* hit = unfold_memo_.find(call_term)) return *hit;
   const TermNode& node = terms_.node(call_term);
   assert(node.kind == TermKind::Call);
   const DefId def_id = node.a;
@@ -216,12 +213,7 @@ TermId Context::unfold(TermId call_term) {
   std::vector<ParamValue> params(raw.size());
   for (std::size_t i = 0; i < raw.size(); ++i)
     params[i] = static_cast<ParamValue>(raw[i]);
-  const OpenTermId body = def.body;
-  // Instantiation happens outside the memo lock: interning makes it
-  // idempotent, so two workers racing on the same call reach the same
-  // TermId and the second emplace is a no-op.
-  const TermId ground = instantiate(body, params);
-  const auto lk = terms_.publish_lock();
+  const TermId ground = instantiate(def.body, params);
   unfold_memo_.emplace(call_term, ground);
   return ground;
 }
@@ -232,15 +224,6 @@ std::size_t Context::approx_bytes() const {
          resources_.approx_bytes() + events_.approx_bytes() +
          open_terms_.size() * sizeof(OpenTermNode) +
          defs_.size() * sizeof(Definition) + unfold_memo_.approx_bytes();
-}
-
-void Context::set_shared_mode(bool shared) {
-  shared_ = shared;
-  resources_.set_shared_mode(shared);
-  events_.set_shared_mode(shared);
-  actions_.set_shared_mode(shared);
-  event_sets_.set_shared_mode(shared);
-  terms_.set_shared_mode(shared);
 }
 
 }  // namespace aadlsched::acsr

@@ -5,14 +5,11 @@
 // definitions. Instantiation (open term + parameter values -> ground term)
 // and call unfolding live here because they touch all tables.
 //
-// A Context is single-threaded while a model is being built. It can be
-// switched into *shared mode* (set_shared_mode / SharedModeGuard): every
-// hash-cons table indexes its entries with a util::HashIndex, and in shared
-// mode that index takes its stripe lock on each probe and its publish lock
-// on each append, so several threads may extend the term DAG concurrently.
-// The unfold memo shares the term index's publish lock. The explorer does
-// not use it (it explores on one thread), and sweeps over independent
-// model variants use one Context per job (they are cheap to create).
+// A Context is single-threaded: one thread builds the model and explores
+// it, and nothing in it takes a lock. Every hash-cons table indexes its
+// entries with a util::HashIndex. Work that runs on several threads
+// (versa::parallel_sweep, the service pool) gives each job a Context of
+// its own; they are cheap to create.
 #pragma once
 
 #include <deque>
@@ -98,30 +95,8 @@ class Context {
   /// expressions, interners) with their index slots, the open terms and
   /// the unfold memo. Dominated by the term table during
   /// exploration; used with the visited-set footprint to enforce
-  /// RunBudget::memory_bytes (util/budget.hpp). Call while no thread is
-  /// appending (the explorer probes between expansions).
+  /// RunBudget::memory_bytes (util/budget.hpp).
   std::size_t approx_bytes() const;
-
-  // --- concurrency -----------------------------------------------------
-  /// Switch every table into (or out of) shared mode. Must be called while
-  /// no other thread touches the Context; definitions and open terms must
-  /// already be built (they stay read-only in shared mode).
-  void set_shared_mode(bool shared);
-  bool shared_mode() const { return shared_; }
-
-  /// RAII shared-mode window.
-  class SharedModeGuard {
-   public:
-    explicit SharedModeGuard(Context& ctx) : ctx_(ctx) {
-      ctx_.set_shared_mode(true);
-    }
-    ~SharedModeGuard() { ctx_.set_shared_mode(false); }
-    SharedModeGuard(const SharedModeGuard&) = delete;
-    SharedModeGuard& operator=(const SharedModeGuard&) = delete;
-
-   private:
-    Context& ctx_;
-  };
 
  private:
   OpenTermId push_open(OpenTermNode n);
@@ -136,7 +111,6 @@ class Context {
   std::deque<Definition> defs_;
   util::HashIndex def_index_;  // by name
   util::FlatIdMap<TermId> unfold_memo_;  // Call term -> instantiated body
-  bool shared_ = false;
 };
 
 }  // namespace aadlsched::acsr

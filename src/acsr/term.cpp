@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "util/hash.hpp"
 
@@ -39,6 +41,11 @@ bool TermTable::fits_payload(TermKind kind,
 
 TermId TermTable::intern(TermNode proto,
                          std::span<const std::uint32_t> payload) {
+  if (payload.size() > kMaxPayload)
+    throw std::length_error("term of " + std::to_string(payload.size()) +
+                            " words exceeds the " +
+                            std::to_string(kMaxPayload) +
+                            "-word term payload limit");
   proto.extra_len = static_cast<std::uint32_t>(payload.size());
   const auto same = [&](TermId id) {
     const TermNode& n = nodes_[id];

@@ -9,13 +9,12 @@
 //     keeps duplicates (P || P is not P);
 //   * a Scope whose timeout reached 0 collapses to its timeout handler;
 // which canonicalizes semantically-equal states and measurably shrinks the
-// explored space. Nodes are found by content through a util::HashIndex,
-// whose stripe and publish locks are the only locks of the table and are
-// taken only in shared mode.
+// explored space. Nodes are found by content through a util::HashIndex.
+// A term wider than kMaxPayload cannot be built: the constructor throws
+// std::length_error, which the explorer reports as a fault.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -104,20 +103,11 @@ class TermTable {
   /// fits in one node once nested terms of the same kind are flattened.
   bool fits_payload(TermKind kind, std::span<const TermId> children) const;
 
-  /// In shared mode the index locks every intern (see util::HashIndex), so
-  /// several threads can extend the term DAG concurrently. Toggle only
-  /// while quiescent.
-  void set_shared_mode(bool shared) { index_.set_shared(shared); }
-  /// Held around the Context's unfold memo, so the memo is locked exactly
-  /// when the term table is shared.
-  std::unique_lock<std::mutex> publish_lock() { return index_.publish_lock(); }
-
  private:
   TermId intern(TermNode proto, std::span<const std::uint32_t> payload);
 
-  // Chunked so element addresses are stable: readers chase TermIds while
-  // writers append (see chunked_vector.hpp for the synchronization
-  // contract).
+  // Chunked so node references and payload spans stay valid while more
+  // terms are interned (see chunked_vector.hpp).
   util::ChunkedVector<TermNode, 13> nodes_;
   Arena arena_;
   util::HashIndex index_;

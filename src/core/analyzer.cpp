@@ -153,9 +153,15 @@ FailingScenario lift_back(acsr::Context& ctx,
 /// Map an exploration outcome onto the result, shared by the cold and the
 /// resumed paths. A partial run is still a result: ok means "the engine
 /// answered", and the answer may be Inconclusive(stop_reason). A found
-/// deadlock is conclusive even when the budget cut the run short.
+/// deadlock is conclusive even when the budget cut the run short. A run
+/// ended by an internal fault is no answer: ok stays false.
 void apply_exploration(AnalysisResult& result,
                        const versa::ExploreResult& er) {
+  if (!er.fault.empty()) {
+    result.stop_reason = er.stop;
+    result.diagnostics += "exploration fault: " + er.fault + "\n";
+    return;
+  }
   result.states = er.states;
   result.transitions = er.transitions;
   result.exhaustive = er.complete;

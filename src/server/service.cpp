@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <exception>
+#include <string>
 
 #include "aadl/fingerprint.hpp"
 #include "aadl/parser.hpp"
@@ -400,8 +402,15 @@ void Service::run_job(const std::shared_ptr<Job>& job) {
     }
   }
 
-  core::AnalysisResult result =
-      core::analyze_instance(*job->parsed->instance, opts);
+  core::AnalysisResult result;
+  try {
+    result = core::analyze_instance(*job->parsed->instance, opts);
+  } catch (const std::exception& e) {
+    // An internal error answers this request with Outcome::Error; it must
+    // not end the daemon (the worker thread has no other boundary).
+    result = core::AnalysisResult();
+    result.diagnostics = std::string("analysis aborted: ") + e.what() + "\n";
+  }
   result.diagnostics = job->parsed->front_end_output + result.diagnostics;
   const std::string result_json = core::render_result_json(result);
 
@@ -409,9 +418,10 @@ void Service::run_job(const std::shared_ptr<Job>& job) {
     metrics_.record_symbolic_run(result.states, result.zone_subsumptions,
                                  result.dbm_dimension);
 
-  if (resume_attempted && !result.resumed) {
+  if (resume_attempted && (!result.resumed || !result.ok)) {
     // The blob failed restore validation (analyze_instance fell back to a
-    // cold run). Drop it — retrying the same bytes cannot succeed.
+    // cold run), or the resumed run faulted. Drop it — retrying the same
+    // bytes cannot succeed.
     metrics_.record_checkpoint_resume_failure();
     checkpoints_.erase(job->key);
   }

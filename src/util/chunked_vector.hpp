@@ -1,19 +1,17 @@
-// Append-only storage with stable addresses, safe for concurrent readers.
+// Append-only storage with stable addresses.
 //
 // The hash-cons tables of the ACSR core are append-only: once an id is
-// handed out, the entry behind it is immutable. A std::vector backing store
-// breaks under concurrent exploration because a grow reallocates and
-// invalidates every element mid-read. ChunkedVector stores elements in
-// fixed-size chunks behind a preallocated spine of chunk pointers, so
-//   * an element's address never changes once written, and
-//   * a reader that holds a published index never touches memory that a
-//     concurrent append is writing.
-// Appends themselves are NOT synchronized here; in shared mode a table
-// appends only from inside util::HashIndex::intern, which holds the index's
-// publish lock. The synchronization contract is the usual hash-cons one: an
-// index only reaches a reader through a lock-protected structure (the
-// HashIndex stripe the id was published in, a thread's start or join),
-// which establishes the happens-before edge for the chunk contents.
+// handed out, the entry behind it is immutable, and the tables promise
+// that references into them survive further interning: a term's payload()
+// span, a TermNode or action reference, a name from Interner::str(). A
+// std::vector backing store would invalidate all of them on every grow.
+// ChunkedVector stores elements in fixed-size chunks, so an element's
+// address never changes once written; only the spine of chunk pointers
+// grows. It is single-threaded like the tables that own it.
+//
+// Elements are addressed by 32-bit ids whose all-ones value is the
+// empty-slot sentinel (util::kFlatEmptySlot, acsr::kInvalidTerm), so an
+// append that would hand out index 0xFFFFFFFF throws std::length_error.
 #pragma once
 
 #include <cstddef>
@@ -21,16 +19,17 @@
 #include <span>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace aadlsched::util {
 
-template <typename T, std::size_t ChunkLog = 12, std::size_t MaxChunks = 1u << 15>
+template <typename T, std::size_t ChunkLog = 12>
 class ChunkedVector {
  public:
   static constexpr std::size_t kChunkSize = std::size_t{1} << ChunkLog;
   static constexpr std::size_t kChunkMask = kChunkSize - 1;
-
-  ChunkedVector() : spine_(new std::unique_ptr<T[]>[MaxChunks]) {}
+  /// One past the largest index an append may hand out.
+  static constexpr std::size_t kMaxSize = 0xFFFFFFFFu;
 
   std::size_t size() const { return size_; }
 
@@ -44,7 +43,7 @@ class ChunkedVector {
   /// Append one element; returns its index.
   std::size_t push_back(T v) {
     const std::size_t i = size_;
-    ensure_chunk(i);
+    ensure_room(i, 1);
     (*this)[i] = std::move(v);
     size_ = i + 1;
     return i;
@@ -60,7 +59,7 @@ class ChunkedVector {
     if ((start & kChunkMask) + xs.size() > kChunkSize)
       start = (start & ~kChunkMask) + kChunkSize;  // pad to next chunk
     if (!xs.empty()) {
-      ensure_chunk(start);
+      ensure_room(start, xs.size());
       for (std::size_t k = 0; k < xs.size(); ++k) (*this)[start + k] = xs[k];
       size_ = start + xs.size();
     }
@@ -74,14 +73,15 @@ class ChunkedVector {
   }
 
  private:
-  void ensure_chunk(std::size_t i) {
-    const std::size_t c = i >> ChunkLog;
-    if (c >= MaxChunks)
+  /// Allocate the chunk that indices [start, start + n) fall in.
+  void ensure_room(std::size_t start, std::size_t n) {
+    if (start + n > kMaxSize)
       throw std::length_error("ChunkedVector: capacity exhausted");
-    if (!spine_[c]) spine_[c] = std::make_unique<T[]>(kChunkSize);
+    while (spine_.size() <= (start >> ChunkLog))
+      spine_.push_back(std::make_unique<T[]>(kChunkSize));
   }
 
-  std::unique_ptr<std::unique_ptr<T[]>[]> spine_;
+  std::vector<std::unique_ptr<T[]>> spine_;
   std::size_t size_ = 0;
 };
 

@@ -12,13 +12,13 @@
 // All three reserve 0xFFFFFFFF as the empty-slot sentinel; callers never
 // insert it (it is acsr::kInvalidTerm, which is not a state). None supports
 // erase — visited sets, parent maps and hash-cons tables only grow, which
-// is what makes tombstone-free linear probing safe.
+// is what makes tombstone-free linear probing safe. None takes a lock:
+// each table belongs to one thread (one exploration, one acsr::Context).
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <cstddef>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -208,130 +208,78 @@ class FlatIdMap {
 };
 
 /// Content-addressed index of dense 32-bit ids: the one hash-consing
-/// structure of the tool. It stores no content, only (hash tag, id) slots;
-/// the caller keeps the entries in its own storage and answers equality
-/// for them. intern() returns the id of an existing equal entry or lets
-/// the caller publish a new one, so ids come out in the caller's append
-/// order and the numbering does not depend on the index layout.
-///
-/// The slots are split into kStripes sub-tables chosen by the high hash
-/// bits, each behind its own lock. In shared mode (set_shared) intern
-/// holds the stripe lock across probe and publish, and publishing also
-/// takes the index-wide publish lock, which serializes appends to the
-/// caller's storage. This class is the only place that decides whether a
-/// lock is taken; out of shared mode nothing locks.
+/// structure of the tool. It stores no content, only (hash tag, id) slots
+/// in one open-addressing array; the caller keeps the entries in its own
+/// storage and answers equality for them. intern() returns the id of an
+/// existing equal entry or lets the caller publish a new one, so ids come
+/// out in the caller's append order and the numbering does not depend on
+/// the index layout.
 class HashIndex {
  public:
-  static constexpr unsigned kStripeBits = 4;
-  static constexpr std::size_t kStripes = std::size_t{1} << kStripeBits;
-
   /// The id whose entry `eq(id)` accepts, or kFlatEmptySlot.
   template <typename Eq>
   std::uint32_t find(std::uint64_t hash, Eq&& eq) const {
-    const std::uint64_t h = util::mix64(hash);
-    const Stripe& s = stripe(h);
-    const auto lk = lock(s.mu);
-    if (s.slots.empty()) return kFlatEmptySlot;
-    return s.slots[probe(s, tag_of(h), eq)].id;
+    if (slots_.empty()) return kFlatEmptySlot;
+    return slots_[probe(tag_of(hash), eq)].id;
   }
 
   /// The id whose entry `eq(id)` accepts; when there is none, `publish()`
   /// appends the entry to the caller's storage and returns its new id.
   template <typename Eq, typename Publish>
   std::uint32_t intern(std::uint64_t hash, Eq&& eq, Publish&& publish) {
-    const std::uint64_t h = util::mix64(hash);
-    Stripe& s = stripe(h);
-    const auto lk = lock(s.mu);
-    if ((s.size + 1) * 10 > s.slots.size() * 7)
-      rehash(s, detail::flat_capacity_for(s.size + 1));
-    const std::uint32_t tag = tag_of(h);
-    Slot& slot = s.slots[probe(s, tag, eq)];
+    if ((size_ + 1) * 10 > slots_.size() * 7)
+      rehash(detail::flat_capacity_for(size_ + 1));
+    const std::uint32_t tag = tag_of(hash);
+    Slot& slot = slots_[probe(tag, eq)];
     if (slot.id != kFlatEmptySlot) return slot.id;
-    const std::uint32_t id = [&] {
-      const auto publish_lk = lock(publish_mu_);
-      return publish();
-    }();
+    const std::uint32_t id = publish();
     assert(id != kFlatEmptySlot);
     slot = Slot{tag, id};
-    ++s.size;
+    ++size_;
     return id;
   }
 
-  /// Toggle only while no other thread uses the index.
-  void set_shared(bool shared) { shared_ = shared; }
+  std::size_t size() const { return size_; }
 
-  /// The publish lock in shared mode, an empty lock otherwise. Side tables
-  /// keyed by this index's ids (the unfold memo) take it to be locked
-  /// exactly when the index is.
-  std::unique_lock<std::mutex> publish_lock() { return lock(publish_mu_); }
-
-  std::size_t size() const {
-    std::size_t n = 0;
-    for (const Stripe& s : stripes_) {
-      const auto lk = lock(s.mu);
-      n += s.size;
-    }
-    return n;
-  }
-
-  /// Actual footprint of the slot arrays.
-  std::size_t approx_bytes() const {
-    std::size_t n = 0;
-    for (const Stripe& s : stripes_) {
-      const auto lk = lock(s.mu);
-      n += s.slots.size() * sizeof(Slot);
-    }
-    return n;
-  }
+  /// Actual footprint of the slot array.
+  std::size_t approx_bytes() const { return slots_.size() * sizeof(Slot); }
 
  private:
   struct Slot {
-    std::uint32_t tag;  // low hash bits; the probe start is tag & mask
+    std::uint32_t tag;  // low bits of the mixed hash; probe starts at
+                        // tag & mask
     std::uint32_t id;
   };
-  struct Stripe {
-    mutable std::mutex mu;
-    std::vector<Slot> slots;  // allocated on the first insert
-    std::size_t size = 0;
-  };
 
-  std::unique_lock<std::mutex> lock(std::mutex& mu) const {
-    return shared_ ? std::unique_lock(mu) : std::unique_lock<std::mutex>();
-  }
-  static std::uint32_t tag_of(std::uint64_t h) {
-    return static_cast<std::uint32_t>(h);
-  }
-  Stripe& stripe(std::uint64_t h) { return stripes_[h >> (64 - kStripeBits)]; }
-  const Stripe& stripe(std::uint64_t h) const {
-    return stripes_[h >> (64 - kStripeBits)];
+  static std::uint32_t tag_of(std::uint64_t hash) {
+    return static_cast<std::uint32_t>(util::mix64(hash));
   }
 
   /// Slot of the entry `eq` accepts, or the empty slot ending its run.
   template <typename Eq>
-  static std::size_t probe(const Stripe& s, std::uint32_t tag, const Eq& eq) {
-    const std::size_t mask = s.slots.size() - 1;
+  std::size_t probe(std::uint32_t tag, const Eq& eq) const {
+    const std::size_t mask = slots_.size() - 1;
     for (std::size_t i = tag & mask;; i = (i + 1) & mask) {
-      const Slot& slot = s.slots[i];
+      const Slot& slot = slots_[i];
       if (slot.id == kFlatEmptySlot || (slot.tag == tag && eq(slot.id)))
         return i;
     }
   }
 
-  static void rehash(Stripe& s, std::size_t new_cap) {
-    std::vector<Slot> old = std::move(s.slots);
-    s.slots.assign(new_cap, Slot{0, kFlatEmptySlot});
+  void rehash(std::size_t new_cap) {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(new_cap, Slot{0, kFlatEmptySlot});
     const std::size_t mask = new_cap - 1;
     for (const Slot& slot : old) {
       if (slot.id == kFlatEmptySlot) continue;
       std::size_t i = slot.tag & mask;
-      while (s.slots[i].id != kFlatEmptySlot) i = (i + 1) & mask;
-      s.slots[i] = slot;
+      while (slots_[i].id != kFlatEmptySlot) i = (i + 1) & mask;
+      slots_[i] = slot;
     }
   }
 
-  Stripe stripes_[kStripes];
-  std::mutex publish_mu_;
-  bool shared_ = false;
+  std::vector<Slot> slots_;  // allocated on the first intern
+  std::size_t size_ = 0;
 };
 
 }  // namespace aadlsched::util

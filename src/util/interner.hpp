@@ -29,8 +29,8 @@ class Interner {
   bool lookup(std::string_view s, Symbol& out) const;
 
   /// Resolve a symbol back to its string. The reference stays valid for the
-  /// lifetime of the interner (storage is chunked; never reallocated), and
-  /// reading it needs no lock even while another thread interns.
+  /// lifetime of the interner, across further interning (storage is
+  /// chunked; never reallocated).
   const std::string& str(Symbol s) const { return storage_[s]; }
 
   std::size_t size() const { return storage_.size(); }
@@ -40,13 +40,8 @@ class Interner {
     return storage_.size() * sizeof(std::string) + index_.approx_bytes();
   }
 
-  /// Shared mode locks intern/lookup in the index so several threads may
-  /// resolve names concurrently. Names are all interned during
-  /// translation, so the lock is cold during exploration.
-  void set_shared_mode(bool shared) { index_.set_shared(shared); }
-
  private:
-  ChunkedVector<std::string, 8, 1u << 12> storage_;
+  ChunkedVector<std::string, 8> storage_;
   HashIndex index_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <stdexcept>
 #include <thread>
 
 #include "util/flat_set.hpp"
@@ -52,10 +53,8 @@ void reconstruct_trace(ExploreResult& result,
   result.trace = std::move(rev);
 }
 
-}  // namespace
-
-ExploreResult explore(acsr::Semantics& sem, TermId initial,
-                      const ExploreOptions& opts) {
+ExploreResult bfs(acsr::Semantics& sem, TermId initial,
+                  const ExploreOptions& opts) {
   const auto t0 = Clock::now();
   const acsr::Semantics::Stats stats_before = sem.stats();
   ExploreResult result;
@@ -224,6 +223,22 @@ ExploreResult explore(acsr::Semantics& sem, TermId initial,
   if (result.deadlock_found && recording) reconstruct_trace(result, parent);
   finish();
   return result;
+}
+
+}  // namespace
+
+ExploreResult explore(acsr::Semantics& sem, TermId initial,
+                      const ExploreOptions& opts) {
+  try {
+    return bfs(sem, initial, opts);
+  } catch (const std::length_error& e) {
+    // A successor flattened into a term the tables cannot hold. The term
+    // was refused before it was published, so the Context stays usable.
+    ExploreResult result;
+    result.stop = util::StopReason::Fault;
+    result.fault = e.what();
+    return result;
+  }
 }
 
 ExploreResult explore_parallel(acsr::Context& ctx, TermId initial,

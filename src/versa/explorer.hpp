@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -120,6 +121,11 @@ struct ExploreResult {
   /// carries meaning: no deadlock is reachable within `depth` BFS levels /
   /// `states` states.
   util::StopReason stop = util::StopReason::None;
+  /// When a state could not be represented (a term wider than
+  /// acsr::TermTable::kMaxPayload), the error's message. The run then
+  /// stops with StopReason::Fault, no other field carries meaning and no
+  /// wavefront is captured.
+  std::string fault;
   /// Trace recording was dropped mid-run to relieve memory pressure; the
   /// verdict is unaffected but no counterexample trace is available.
   bool trace_dropped = false;
@@ -150,7 +156,8 @@ struct ExploreResult {
   bool schedulable() const { return complete && !deadlock_found; }
 };
 
-/// Breadth-first exploration of the prioritized transition system.
+/// Breadth-first exploration of the prioritized transition system. Never
+/// throws std::length_error: an over-wide term becomes a Fault result.
 ExploreResult explore(acsr::Semantics& sem, acsr::TermId initial,
                       const ExploreOptions& opts = {});
 

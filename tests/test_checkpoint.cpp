@@ -13,6 +13,7 @@
 #include "core/result_json.hpp"
 #include "util/hash.hpp"
 #include "versa/checkpoint.hpp"
+#include "wide_term_fixture.hpp"
 
 namespace {
 
@@ -474,6 +475,33 @@ TEST(Checkpoint, OversizedTermFallsBackToAColdRun) {
   EXPECT_NE(r.diagnostics.find("term payload limit"), std::string::npos);
   EXPECT_NE(r.diagnostics.find("falling back to a cold run"),
             std::string::npos);
+}
+
+TEST(Checkpoint, ResumeThatOutgrowsThePayloadLimitIsAFault) {
+  // Every term of this blob is narrow, so it restores; its first expansion
+  // flattens into a Parallel twice the payload limit. That used to escape
+  // the explorer as std::length_error and abort the process.
+  versa::CheckpointReduction red;
+  red.symmetry = red.commute = true;  // what base_options() explores with
+  const std::string blob = wide_term::doubling_checkpoint(15, "-", red);
+  std::string error;
+  ASSERT_TRUE(versa::parse_checkpoint(blob, error).has_value()) << error;
+
+  core::AnalyzerOptions warm = base_options();
+  warm.resume_checkpoint = &blob;
+  std::string captured;
+  warm.checkpoint_out = &captured;
+  const auto r = core::analyze_source(medium_model(), "Root.impl", warm);
+  EXPECT_TRUE(r.resumed);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.outcome, core::Outcome::Error);
+  EXPECT_EQ(r.stop_reason, util::StopReason::Fault);
+  EXPECT_NE(r.diagnostics.find("exploration fault"), std::string::npos)
+      << r.diagnostics;
+  EXPECT_NE(r.diagnostics.find("term payload limit"), std::string::npos)
+      << r.diagnostics;
+  EXPECT_FALSE(r.checkpoint_captured);
+  EXPECT_TRUE(captured.empty());
 }
 
 TEST(Checkpoint, OversizedGroundTermIsAParseError) {

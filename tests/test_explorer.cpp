@@ -8,6 +8,7 @@
 #include "versa/explorer.hpp"
 #include "versa/inspection.hpp"
 #include "versa/sweep.hpp"
+#include "wide_term_fixture.hpp"
 
 using namespace aadlsched;
 using namespace aadlsched::acsr;
@@ -238,6 +239,27 @@ TEST(Explorer, SerialExploreReportsObservability) {
   EXPECT_GT(r.sem_stats.computed, 0u);
   EXPECT_EQ(r.sem_stats.computed, sem.stats().computed)
       << "fresh Semantics: delta equals totals";
+}
+
+TEST(Explorer, OverWideTermIsAFaultNotAnAbort) {
+  Context ctx;
+  const TermId l15 = wide_term::doubling_call(ctx, 15);
+  ASSERT_NE(l15, kInvalidTerm);
+  Semantics sem(ctx);
+  const ExploreResult r = explore(sem, l15);
+  EXPECT_EQ(r.stop, util::StopReason::Fault);
+  EXPECT_FALSE(r.complete);
+  EXPECT_NE(r.fault.find("16384-word term payload limit"), std::string::npos)
+      << r.fault;
+
+  // The refused term was never published: the same Context still explores
+  // a narrower member of the family (one step of L4 is 16 calls of L0).
+  const ExploreResult ok = explore(sem, ctx.terms().call(
+                                            *ctx.find_definition("L4"), {}));
+  EXPECT_EQ(ok.stop, util::StopReason::None);
+  EXPECT_TRUE(ok.fault.empty());
+  EXPECT_TRUE(ok.schedulable());
+  EXPECT_EQ(ok.states, 2u);
 }
 
 TEST(Explorer, ParallelSweepRunsIndependentAnalyses) {

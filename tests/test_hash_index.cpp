@@ -1,13 +1,11 @@
 // Tests for util::HashIndex, the content-addressed index behind every
 // hash-cons table, and for the chunked append-only storage the tables keep
-// their entries in. The concurrent cases run under the tsan ctest label.
+// their entries in.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "util/chunked_vector.hpp"
 #include "util/flat_set.hpp"
@@ -51,8 +49,8 @@ TEST(HashIndex, IdsFollowPublishOrder) {
 }
 
 TEST(HashIndex, EqualityAloneSeparatesCollidingHashes) {
-  // Every value hashes alike: same stripe, same probe start, same tag. Only
-  // the caller's equality tells entries apart.
+  // Every value hashes alike: same probe start, same tag. Only the caller's
+  // equality tells entries apart.
   StringTable t;
   t.hash = [](std::string_view) -> std::uint64_t { return 7; };
   for (int i = 0; i < 200; ++i)
@@ -65,57 +63,26 @@ TEST(HashIndex, EqualityAloneSeparatesCollidingHashes) {
   EXPECT_EQ(t.index.size(), 200u);
 }
 
-TEST(HashIndex, GrowsAcrossRehashesInSerialAndSharedMode) {
-  for (const bool shared : {false, true}) {
-    StringTable t;
-    t.index.set_shared(shared);
-    EXPECT_EQ(t.index.approx_bytes(), 0u) << "no slots before the first insert";
-    // 16 stripes of 16 slots to start; 20k entries take every stripe
-    // through several doublings.
-    constexpr int kN = 20'000;
-    std::size_t bytes = 0;
-    int growths = 0;
-    for (int i = 0; i < kN; ++i) {
-      ASSERT_EQ(t.intern(std::to_string(i)), static_cast<std::uint32_t>(i));
-      if (t.index.approx_bytes() != bytes) {
-        bytes = t.index.approx_bytes();
-        ++growths;
-      }
-    }
-    EXPECT_GT(growths, 4 * static_cast<int>(util::HashIndex::kStripes));
-    for (int i = 0; i < kN; ++i)
-      ASSERT_EQ(t.find(std::to_string(i)), static_cast<std::uint32_t>(i));
-    EXPECT_EQ(t.index.size(), static_cast<std::size_t>(kN));
-  }
-}
-
-TEST(HashIndex, SharedInternersGiveEachValueOneId) {
-  // N threads intern overlapping ranges of values into one shared table;
-  // every value must end up with exactly one id, whichever thread won.
-  constexpr int kThreads = 6;
-  constexpr int kPerThread = 4'000;
-  constexpr int kStride = 1'000;  // neighbours overlap by 3/4
+TEST(HashIndex, GrowsAcrossRehashes) {
   StringTable t;
-  t.index.set_shared(true);
-  std::vector<std::vector<std::uint32_t>> seen(kThreads);
-  std::vector<std::thread> threads;
-  for (int w = 0; w < kThreads; ++w) {
-    threads.emplace_back([&, w] {
-      for (int i = 0; i < kPerThread; ++i)
-        seen[w].push_back(t.intern("s" + std::to_string(w * kStride + i)));
-    });
-  }
-  for (auto& th : threads) th.join();
-  constexpr int kDistinct = (kThreads - 1) * kStride + kPerThread;
-  EXPECT_EQ(t.index.size(), static_cast<std::size_t>(kDistinct));
-  EXPECT_EQ(t.storage.size(), static_cast<std::size_t>(kDistinct));
-  for (int w = 0; w < kThreads; ++w) {
-    for (int i = 0; i < kPerThread; ++i) {
-      const std::uint32_t id = seen[w][i];
-      ASSERT_LT(id, static_cast<std::uint32_t>(kDistinct));
-      EXPECT_EQ(t.storage[id], "s" + std::to_string(w * kStride + i));
+  EXPECT_EQ(t.index.approx_bytes(), 0u) << "no slots before the first intern";
+  // The first intern allocates 16 slots; each doubling keeps the load under
+  // 0.7, so 20k entries end in 32,768 slots after 11 doublings.
+  constexpr int kN = 20'000;
+  std::size_t bytes = 0;
+  int growths = 0;
+  for (int i = 0; i < kN; ++i) {
+    ASSERT_EQ(t.intern(std::to_string(i)), static_cast<std::uint32_t>(i));
+    if (t.index.approx_bytes() != bytes) {
+      bytes = t.index.approx_bytes();
+      ++growths;
     }
   }
+  EXPECT_EQ(growths, 1 + 11);
+  EXPECT_EQ(t.index.approx_bytes(), 32'768u * 2 * sizeof(std::uint32_t));
+  for (int i = 0; i < kN; ++i)
+    ASSERT_EQ(t.find(std::to_string(i)), static_cast<std::uint32_t>(i));
+  EXPECT_EQ(t.index.size(), static_cast<std::size_t>(kN));
 }
 
 TEST(ChunkedVector, StableAddressesAcrossGrowth) {

@@ -185,17 +185,6 @@ TEST(ParallelExplorer, HardwareWorkerCountRuns) {
   EXPECT_GE(r.peak_frontier, 1u);
 }
 
-TEST(ParallelExplorer, SharedModeIsRestoredAfterExploration) {
-  acsr::Context ctx;
-  const std::string src = read_model("cruise_control.aadl");
-  const acsr::TermId init =
-      build_initial(ctx, src, "CruiseControlSystem.impl", 10'000'000);
-  ParallelExploreOptions popts;
-  popts.workers = 2;
-  versa::explore_parallel(ctx, init, {}, popts);
-  EXPECT_FALSE(ctx.shared_mode());
-}
-
 TEST(ParallelExplorer, AnalyzerPlumbsWorkersAndObservability) {
   const std::string src = read_model("cruise_control.aadl");
   core::AnalyzerOptions opts;

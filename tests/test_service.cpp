@@ -21,6 +21,8 @@
 
 #include "server/service.hpp"
 #include "util/json.hpp"
+#include "versa/checkpoint.hpp"
+#include "wide_term_fixture.hpp"
 
 namespace {
 
@@ -422,6 +424,61 @@ TEST(Service, CorruptCheckpointOnDiskFallsBackColdAndIsErased) {
   EXPECT_EQ(stat(s, "checkpoints", "resume_failures"), 0);
   EXPECT_EQ(stat(s, "checkpoints", "entries"), 0);  // quarantined == erased
   EXPECT_FALSE(std::filesystem::exists(ckpt_path));
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Service, FaultedResumeAnswersWithAnErrorAndErasesTheCheckpoint) {
+  char tmpl[] = "/tmp/aadlsched_cache_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+
+  ServiceConfig cfg;
+  cfg.cache.disk_dir = dir;
+  const std::string model = tiny_model(2, 10, 10);
+  std::string ckpt_path;
+  {
+    Service first(cfg);
+    ASSERT_TRUE(first.handle(bounded(model, 5)).checkpoint_captured);
+    for (const auto& ent : std::filesystem::directory_iterator(dir))
+      if (ent.path().extension() == ".ckpt") ckpt_path = ent.path();
+    ASSERT_FALSE(ckpt_path.empty());
+  }
+  // Swap in a valid, sealed checkpoint under the same key and reduction
+  // settings whose first expansion outgrows the term payload limit.
+  {
+    std::ifstream in(ckpt_path);
+    std::ostringstream os;
+    os << in.rdbuf();
+    std::string error;
+    const auto stored = versa::parse_checkpoint(os.str(), error);
+    ASSERT_TRUE(stored.has_value()) << error;
+    std::ofstream(ckpt_path, std::ios::trunc)
+        << wide_term::doubling_checkpoint(15, stored->key, stored->reduction);
+  }
+
+  Service second(cfg);
+  Request again = analyze(model);
+  again.resume = true;
+  const Response faulted = second.handle(again);
+  ASSERT_TRUE(faulted.ok);
+  EXPECT_EQ(faulted.outcome, core::Outcome::Error);
+  EXPECT_NE(faulted.result_json.find("term payload limit"), std::string::npos)
+      << faulted.result_json;
+  EXPECT_FALSE(faulted.checkpoint_captured);
+  {
+    const auto s = stats_of(second);
+    EXPECT_EQ(stat(s, "checkpoints", "hits"), 1);
+    EXPECT_EQ(stat(s, "checkpoints", "resume_failures"), 1);
+    EXPECT_EQ(stat(s, "checkpoints", "entries"), 0);
+  }
+  EXPECT_FALSE(std::filesystem::exists(ckpt_path));
+
+  // The daemon keeps serving: the same request now runs cold to a verdict.
+  const Response cold = second.handle(again);
+  ASSERT_TRUE(cold.ok);
+  EXPECT_FALSE(cold.resumed);
+  EXPECT_EQ(cold.outcome, core::Outcome::Schedulable);
 
   std::filesystem::remove_all(dir);
 }
