@@ -64,11 +64,18 @@ bool ActionTable::disjoint(ActionId a, ActionId b) const {
 ActionId ActionTable::merge(ActionId a, ActionId b) {
   if (a == kIdleAction) return b;
   if (b == kIdleAction) return a;
-  // Copy before intern: intern() may grow actions_ and invalidate refs.
-  std::vector<ResourceUse> merged = actions_[a];
-  const std::vector<ResourceUse> ub = actions_[b];
-  merged.insert(merged.end(), ub.begin(), ub.end());
-  return intern(std::move(merged));
+  if (b < a) std::swap(a, b);  // the union does not depend on the order
+  const std::uint32_t m = merge_index_.intern(
+      util::hash_combine(util::mix64(a), b),
+      [&](std::uint32_t i) { return merges_[i].a == a && merges_[i].b == b; },
+      [&] {
+        std::vector<ResourceUse> uses = actions_[a];
+        const std::vector<ResourceUse>& ub = actions_[b];
+        uses.insert(uses.end(), ub.begin(), ub.end());
+        merges_.push_back(Merge{a, b, intern(std::move(uses))});
+        return static_cast<std::uint32_t>(merges_.size() - 1);
+      });
+  return merges_[m].merged;
 }
 
 bool ActionTable::preempts(ActionId a, ActionId b) const {

@@ -45,7 +45,9 @@ class ActionTable {
   /// Par3 side condition: resource sets are disjoint.
   bool disjoint(ActionId a, ActionId b) const;
 
-  /// Union of two disjoint actions (sorted merge).
+  /// Union of two disjoint actions (sorted merge). Memoized by the
+  /// unordered pair: the first merge of a pair interns the union, later
+  /// ones (in either order) return it without touching the uses.
   ActionId merge(ActionId a, ActionId b);
 
   /// The paper's preemption order on actions: a ≺ b iff every resource of a
@@ -55,16 +57,25 @@ class ActionTable {
 
   std::size_t size() const { return actions_.size(); }
 
-  /// Footprint of the resource-use vectors and the index slots, for the
-  /// resource-governance memory estimate.
+  /// Footprint of the resource-use vectors, the index slots and the merge
+  /// memo, for the resource-governance memory estimate.
   std::size_t approx_bytes() const {
     return actions_.size() * sizeof(std::vector<ResourceUse>) +
-           index_.approx_bytes();
+           index_.approx_bytes() + merges_.capacity() * sizeof(Merge) +
+           merge_index_.approx_bytes();
   }
 
  private:
+  struct Merge {
+    ActionId a;  // a <= b
+    ActionId b;
+    ActionId merged;
+  };
+
   util::ChunkedVector<std::vector<ResourceUse>, 8> actions_;
   util::HashIndex index_;
+  std::vector<Merge> merges_;
+  util::HashIndex merge_index_;  // (a, b) -> index into merges_
 };
 
 /// Interned sorted sets of event labels, for the restriction operator.

@@ -161,7 +161,7 @@ TermId Context::instantiate(OpenTermId open_id,
       std::vector<TermId> procs;
       procs.reserve(n.children.size());
       for (OpenTermId c : n.children) procs.push_back(instantiate(c, params));
-      return terms_.parallel(std::move(procs));
+      return terms_.parallel(procs);
     }
     case OpenKind::Restrict: {
       const TermId body = instantiate(n.cont, params);

@@ -1,7 +1,5 @@
 #include "acsr/preemption.hpp"
 
-#include <algorithm>
-
 namespace aadlsched::acsr {
 
 bool preempted_by(const ActionTable& actions, const Label& a,
@@ -22,26 +20,38 @@ bool preempted_by(const ActionTable& actions, const Label& a,
   return false;
 }
 
-void prioritize(const ActionTable& actions, std::vector<Transition>& ts) {
-  // O(n^2) pairwise check; transition fans are small (tens) in practice.
-  // A transition is kept iff nothing in the *full* set preempts it (the
+std::uint64_t prioritize(const ActionTable& actions,
+                         std::vector<Transition>& ts,
+                         std::vector<LabelRun>& runs) {
+  if (ts.size() < 2) return 0;
+  runs.clear();
+  for (const Transition& t : ts)
+    if (runs.empty() || runs.back().label != t.label)
+      runs.push_back(LabelRun{t.label});
+  // A label is kept iff no label of the *full* set preempts it (the
   // relation is applied against all siblings, including ones that are
   // themselves preempted; preemption chains are consistent because the
-  // underlying orders are transitive).
-  std::vector<bool> dead(ts.size(), false);
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    for (std::size_t j = 0; j < ts.size(); ++j) {
-      if (i == j) continue;
-      if (preempted_by(actions, ts[i].label, ts[j].label)) {
-        dead[i] = true;
+  // underlying orders are transitive). Equal labels never preempt each
+  // other, so an unsorted fan, whose runs repeat labels, decides the same.
+  std::uint64_t checks = 0;
+  for (LabelRun& run : runs) {
+    for (const LabelRun& other : runs) {
+      if (&run == &other) continue;
+      ++checks;
+      if (preempted_by(actions, run.label, other.label)) {
+        run.preempted = true;
         break;
       }
     }
   }
   std::size_t w = 0;
-  for (std::size_t i = 0; i < ts.size(); ++i)
-    if (!dead[i]) ts[w++] = ts[i];
+  std::size_t r = 0;
+  for (const Transition& t : ts) {
+    if (t.label != runs[r].label) ++r;  // the next run starts here
+    if (!runs[r].preempted) ts[w++] = t;
+  }
   ts.resize(w);
+  return checks;
 }
 
 }  // namespace aadlsched::acsr

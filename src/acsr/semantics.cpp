@@ -26,34 +26,39 @@ void canonicalize(std::vector<Transition>& ts) {
 }  // namespace
 
 std::vector<Transition> Semantics::transitions(TermId t) {
-  if (const FanRef* ref = memo_.find(t)) {
-    ++stats_.memo_hits;
-    const auto first = fan_arena_.begin() + ref->offset;
-    return {first, first + ref->len};
-  }
-  ++stats_.computed;
-  std::vector<Transition> ts = compute(t);
-  canonicalize(ts);
-  // Nested transitions() calls inside compute() appended their own windows
-  // first, so the arena tail is free here.
-  const auto offset = static_cast<std::uint32_t>(fan_arena_.size());
-  fan_arena_.insert(fan_arena_.end(), ts.begin(), ts.end());
-  memo_.emplace(t, FanRef{offset, static_cast<std::uint32_t>(ts.size())});
-  return ts;
+  const auto ts = window(fan(t));
+  return {ts.begin(), ts.end()};
 }
 
 std::vector<Transition> Semantics::prioritized(TermId t) {
   std::vector<Transition> ts = transitions(t);
-  prioritize(ctx_.actions(), ts);
+  stats_.raw_transitions += ts.size();
+  stats_.preemption_checks += prioritize(ctx_.actions(), ts, runs_);
+  stats_.kept_transitions += ts.size();
   return ts;
 }
 
-std::vector<Transition> Semantics::compute(TermId t) {
+Semantics::FanRef Semantics::fan(TermId t) {
+  if (const FanRef* ref = memo_.find(t)) {
+    ++stats_.memo_hits;
+    return *ref;
+  }
+  ++stats_.computed;
+  std::vector<Transition> ts;
+  compute(t, ts);
+  canonicalize(ts);
+  // Nested fan() calls inside compute() appended their own windows first,
+  // so the arena tail is free here.
+  const FanRef ref{static_cast<std::uint32_t>(fan_arena_.size()),
+                   static_cast<std::uint32_t>(ts.size())};
+  fan_arena_.insert(fan_arena_.end(), ts.begin(), ts.end());
+  memo_.emplace(t, ref);
+  return ref;
+}
+
+void Semantics::compute(TermId t, std::vector<Transition>& out) {
   TermTable& tt = ctx_.terms();
-  std::vector<Transition> out;
-  // Copy the node: recursive calls below intern new terms, which can
-  // reallocate the node table and invalidate references into it.
-  const TermNode node = tt.node(t);
+  const TermNode& node = tt.node(t);  // chunked: stays valid
   switch (node.kind) {
     case TermKind::Nil:
       break;
@@ -69,15 +74,12 @@ std::vector<Transition> Semantics::compute(TermId t) {
           node.b});
       break;
 
-    case TermKind::Choice: {
-      const auto p = tt.payload(t);
-      const std::vector<TermId> kids(p.begin(), p.end());
-      for (TermId k : kids) {
-        const std::vector<Transition> ks = transitions(k);
+    case TermKind::Choice:
+      for (const TermId k : tt.payload(t)) {
+        const auto ks = window(fan(k));
         out.insert(out.end(), ks.begin(), ks.end());
       }
       break;
-    }
 
     case TermKind::Parallel:
       parallel_transitions(t, out);
@@ -85,8 +87,7 @@ std::vector<Transition> Semantics::compute(TermId t) {
 
     case TermKind::Restrict: {
       const EventSetId fset = node.a;
-      const std::vector<Transition> body = transitions(node.b);
-      for (const Transition& tr : body) {
+      for (const Transition& tr : window(fan(node.b))) {
         if (tr.label.kind == Label::Kind::Event &&
             ctx_.event_sets().contains(fset, tr.label.event))
           continue;  // restricted: may only synchronize inside
@@ -98,8 +99,7 @@ std::vector<Transition> Semantics::compute(TermId t) {
 
     case TermKind::Scope: {
       const ScopeParts parts = tt.scope_parts(t);
-      const std::vector<Transition> body = transitions(parts.body);
-      for (const Transition& tr : body) {
+      for (const Transition& tr : window(fan(parts.body))) {
         if (tr.label.is_timed()) {
           ScopeParts next = parts;
           next.body = tr.target;
@@ -124,45 +124,43 @@ std::vector<Transition> Semantics::compute(TermId t) {
       if (parts.interrupt_handler != kInvalidTerm) {
         // The interrupt handler's initial steps remain enabled for the
         // lifetime of the scope; taking one abandons the body.
-        const std::vector<Transition> intr =
-            transitions(parts.interrupt_handler);
+        const auto intr = window(fan(parts.interrupt_handler));
         out.insert(out.end(), intr.begin(), intr.end());
       }
       break;
     }
 
     case TermKind::Call: {
-      const TermId body = ctx_.unfold(t);
-      out = transitions(body);
+      const auto body = window(fan(ctx_.unfold(t)));
+      out.assign(body.begin(), body.end());
       break;
     }
   }
-  return out;
 }
 
 void Semantics::parallel_transitions(TermId t, std::vector<Transition>& out) {
   TermTable& tt = ctx_.terms();
-  const auto p = tt.payload(t);
-  const std::vector<TermId> kids(p.begin(), p.end());
+  ActionTable& at = ctx_.actions();
+  const auto kids = tt.payload(t);  // chunked: stays valid
   const std::size_t n = kids.size();
 
-  // Child fans, copied up front: computing one child's fan can invalidate
-  // references produced for another.
-  std::vector<std::vector<Transition>> fans(n);
-  for (std::size_t i = 0; i < n; ++i) fans[i] = transitions(kids[i]);
+  // Child fans first: computing one can grow the arena, so their windows
+  // are read only once every child fan is in.
+  std::vector<FanRef> refs(n);
+  for (std::size_t i = 0; i < n; ++i) refs[i] = fan(kids[i]);
+  const auto fan_of = [&](std::size_t i) { return window(refs[i]); };
 
-  std::vector<TermId> scratch;
-  const auto rebuilt = [&](std::size_t i, TermId replacement) {
-    scratch = kids;
-    scratch[i] = replacement;
-    return tt.parallel(scratch);
-  };
+  // Successor components: `scratch` is the composition with entry i (and
+  // j) replaced, restored after each use.
+  std::vector<TermId> scratch(kids.begin(), kids.end());
 
   // Par1/Par2: events and taus of one component interleave.
   for (std::size_t i = 0; i < n; ++i) {
-    for (const Transition& tr : fans[i]) {
+    for (const Transition& tr : fan_of(i)) {
       if (tr.label.is_timed()) continue;
-      out.push_back(Transition{tr.label, rebuilt(i, tr.target)});
+      scratch[i] = tr.target;
+      out.push_back(Transition{tr.label, tt.parallel(scratch)});
+      scratch[i] = kids[i];
     }
   }
 
@@ -170,20 +168,21 @@ void Semantics::parallel_transitions(TermId t, std::vector<Transition>& out) {
   // priority is the sum of the two offers; it remembers the event label.
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      for (const Transition& ti : fans[i]) {
+      for (const Transition& ti : fan_of(i)) {
         if (ti.label.kind != Label::Kind::Event) continue;
-        for (const Transition& tj : fans[j]) {
+        for (const Transition& tj : fan_of(j)) {
           if (tj.label.kind != Label::Kind::Event) continue;
           if (ti.label.event != tj.label.event ||
               ti.label.send == tj.label.send)
             continue;
-          scratch = kids;
           scratch[i] = ti.target;
           scratch[j] = tj.target;
           out.push_back(Transition{
               Label::make_tau(ti.label.event,
                               ti.label.priority + tj.label.priority),
               tt.parallel(scratch)});
+          scratch[i] = kids[i];
+          scratch[j] = kids[j];
         }
       }
     }
@@ -192,31 +191,31 @@ void Semantics::parallel_transitions(TermId t, std::vector<Transition>& out) {
   // Par3: one global timed action combining a timed step of *every*
   // component, resource sets pairwise disjoint. Built as a left fold over
   // the components; if any component offers no timed step, time cannot
-  // advance in the composition.
-  struct Partial {
-    ActionId action = kIdleAction;
-    std::vector<TermId> chosen;
-  };
-  std::vector<Partial> partials(1);
-  partials[0].chosen.reserve(n);
-  for (std::size_t i = 0; i < n && !partials.empty(); ++i) {
-    std::vector<Partial> next;
-    for (const Partial& part : partials) {
-      for (const Transition& tr : fans[i]) {
+  // advance in the composition. After folding in i components, partial p
+  // is actions[p] with the targets chosen[p * i, (p + 1) * i).
+  std::vector<ActionId> actions{kIdleAction}, next_actions;
+  std::vector<TermId> chosen, next_chosen;
+  for (std::size_t i = 0; i < n && !actions.empty(); ++i) {
+    next_actions.clear();
+    next_chosen.clear();
+    for (std::size_t p = 0; p < actions.size(); ++p) {
+      for (const Transition& tr : fan_of(i)) {
         if (!tr.label.is_timed()) continue;
-        if (!ctx_.actions().disjoint(part.action, tr.label.action)) continue;
-        Partial ext;
-        ext.action = ctx_.actions().merge(part.action, tr.label.action);
-        ext.chosen = part.chosen;
-        ext.chosen.push_back(tr.target);
-        next.push_back(std::move(ext));
+        if (!at.disjoint(actions[p], tr.label.action)) continue;
+        next_actions.push_back(at.merge(actions[p], tr.label.action));
+        const auto row = chosen.begin() + p * i;
+        next_chosen.insert(next_chosen.end(), row, row + i);
+        next_chosen.push_back(tr.target);
       }
     }
-    partials = std::move(next);
+    actions.swap(next_actions);
+    chosen.swap(next_chosen);
   }
-  for (Partial& part : partials) {
-    out.push_back(Transition{Label::make_action(part.action),
-                             tt.parallel(std::move(part.chosen))});
+  for (std::size_t p = 0; p < actions.size(); ++p) {
+    const auto row = chosen.begin() + p * n;
+    scratch.assign(row, row + n);
+    out.push_back(
+        Transition{Label::make_action(actions[p]), tt.parallel(scratch)});
   }
 }
 

@@ -24,10 +24,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "acsr/context.hpp"
 #include "acsr/label.hpp"
+#include "acsr/preemption.hpp"
 #include "util/flat_set.hpp"
 
 namespace aadlsched::acsr {
@@ -37,6 +39,19 @@ class Semantics {
   struct Stats {
     std::uint64_t computed = 0;   // states whose fan was computed
     std::uint64_t memo_hits = 0;  // fan served from the memo table
+    // prioritized() calls: transitions before and after preemption, and the
+    // preempted_by() checks that decided them.
+    std::uint64_t raw_transitions = 0;
+    std::uint64_t kept_transitions = 0;
+    std::uint64_t preemption_checks = 0;
+
+    /// Work done since `before` (an earlier snapshot of the same counters).
+    Stats operator-(const Stats& before) const {
+      return {computed - before.computed, memo_hits - before.memo_hits,
+              raw_transitions - before.raw_transitions,
+              kept_transitions - before.kept_transitions,
+              preemption_checks - before.preemption_checks};
+    }
   };
 
   explicit Semantics(Context& ctx) : ctx_(ctx) {}
@@ -44,7 +59,7 @@ class Semantics {
   /// Unprioritized transition fan (copy; safe across further calls).
   std::vector<Transition> transitions(TermId t);
 
-  /// Prioritized fan: unprioritized minus preempted transitions.
+  /// Prioritized fan: unprioritized minus preempted transitions (copy).
   std::vector<Transition> prioritized(TermId t);
 
   const Stats& stats() const { return stats_; }
@@ -58,9 +73,6 @@ class Semantics {
   }
 
  private:
-  std::vector<Transition> compute(TermId t);
-  void parallel_transitions(TermId t, std::vector<Transition>& out);
-
   // Memoized fans live flat in one arena; the per-term index holds an
   // (offset, len) window into it. Compared to the former
   // unordered_map<TermId, vector<Transition>> this drops two heap nodes
@@ -70,10 +82,21 @@ class Semantics {
     std::uint32_t len = 0;
   };
 
+  /// The memoized fan of `t`, computing it on a miss. Internally fans are
+  /// read in place through window(), not copied; a miss appends to the
+  /// arena, so a window is read only until the next fan() call.
+  FanRef fan(TermId t);
+  std::span<const Transition> window(FanRef ref) const {
+    return {fan_arena_.data() + ref.offset, ref.len};
+  }
+  void compute(TermId t, std::vector<Transition>& out);
+  void parallel_transitions(TermId t, std::vector<Transition>& out);
+
   Context& ctx_;
   Stats stats_;
   std::vector<Transition> fan_arena_;
   util::FlatIdMap<FanRef> memo_;
+  std::vector<LabelRun> runs_;  // prioritize()'s scratch, reused
 };
 
 }  // namespace aadlsched::acsr

@@ -102,26 +102,25 @@ TermId TermTable::choice(std::vector<TermId> alts) {
   return intern(n, flat);
 }
 
-TermId TermTable::parallel(std::vector<TermId> procs) {
-  std::vector<TermId> flat;
-  flat.reserve(procs.size());
+TermId TermTable::parallel(const std::vector<TermId>& procs) {
+  flat_.clear();
   for (TermId t : procs) {
     if (nodes_[t].kind == TermKind::Parallel) {
       const auto p = payload(t);
-      flat.insert(flat.end(), p.begin(), p.end());
+      flat_.insert(flat_.end(), p.begin(), p.end());
     } else {
-      flat.push_back(t);
+      flat_.push_back(t);
     }
   }
-  if (flat.empty()) return kNil;
-  std::sort(flat.begin(), flat.end());
-  if (flat.size() == 1) return flat[0];
+  if (flat_.empty()) return kNil;
+  std::sort(flat_.begin(), flat_.end());
+  if (flat_.size() == 1) return flat_[0];
   // NIL components must be kept (a dead component blocks global time
   // progress), but a composition of only NILs is itself NIL.
-  if (flat.back() == kNil) return kNil;  // sorted: back()==0 => all zero
+  if (flat_.back() == kNil) return kNil;  // sorted: back()==0 => all zero
   TermNode n;
   n.kind = TermKind::Parallel;
-  return intern(n, flat);
+  return intern(n, flat_);
 }
 
 TermId TermTable::restrict(EventSetId events, TermId body) {

@@ -72,7 +72,7 @@ class TermTable {
   TermId act(ActionId action, TermId cont);
   TermId evt(Event e, bool send, Priority priority, TermId cont);
   TermId choice(std::vector<TermId> alts);
-  TermId parallel(std::vector<TermId> procs);
+  TermId parallel(const std::vector<TermId>& procs);
   TermId restrict(EventSetId events, TermId body);
   TermId scope(const ScopeParts& parts);
   TermId call(DefId def, std::span<const ParamValue> args);
@@ -111,6 +111,7 @@ class TermTable {
   util::ChunkedVector<TermNode, 13> nodes_;
   Arena arena_;
   util::HashIndex index_;
+  std::vector<TermId> flat_;  // parallel()'s flattening buffer, reused
 };
 
 }  // namespace aadlsched::acsr

@@ -118,9 +118,7 @@ ExploreResult bfs(acsr::Semantics& sem, TermId initial,
   util::BudgetTracker tracker(opts.budget, approx_memory);
 
   const auto finish = [&] {
-    result.sem_stats.computed = sem.stats().computed - stats_before.computed;
-    result.sem_stats.memo_hits =
-        sem.stats().memo_hits - stats_before.memo_hits;
+    result.sem_stats = sem.stats() - stats_before;
     // Reported even when no memory budget probed it, so bytes/state can be
     // read off any run.
     result.approx_memory_bytes = approx_memory();

@@ -150,7 +150,8 @@ struct ExploreResult {
   /// Fans expanded per worker, one entry per requested worker. The loop
   /// is serial, so entry 0 counts every fan and the others stay 0.
   std::vector<std::uint64_t> worker_states;
-  /// Successor-fan memo effectiveness for the fans the run merged.
+  /// Semantics work of this run: fan memo effectiveness, raw and kept
+  /// transitions and preemption checks (not part of the result JSON).
   acsr::Semantics::Stats sem_stats;
 
   bool schedulable() const { return complete && !deadlock_found; }

@@ -293,7 +293,7 @@ TermId Reducer::canon_compute(TermId t) {
                                  static_cast<std::int32_t>(j)));
   }
   if (rebuilt.size() == 1) return rebuilt[0];
-  return tt.parallel(std::move(rebuilt));
+  return tt.parallel(rebuilt);
 }
 
 TermId Reducer::canonical(TermId t) {

@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 
 #include "acsr/builder.hpp"
+#include "acsr/preemption.hpp"
 #include "acsr/printer.hpp"
 #include "acsr/semantics.hpp"
+#include "util/rng.hpp"
 
 using namespace aadlsched;
 using namespace aadlsched::acsr;
@@ -375,6 +378,128 @@ TEST_F(SemanticsTest, FreshSemanticsAgreesWithWarmedMemo) {
   }
   EXPECT_GE(sem.stats().memo_hits, hits_before + 2 * chain.size());
   EXPECT_GE(fresh.stats().computed, chain.size());
+}
+
+// --- prioritize() over label runs ---------------------------------------
+
+// The pairwise filter prioritize() replaced: every transition against every
+// other one, O(n^2) preempted_by() checks.
+std::vector<Transition> pairwise_reference(const ActionTable& actions,
+                                           std::vector<Transition> ts) {
+  std::vector<bool> dead(ts.size(), false);
+  for (std::size_t i = 0; i < ts.size(); ++i)
+    for (std::size_t j = 0; j < ts.size(); ++j)
+      if (i != j && preempted_by(actions, ts[i].label, ts[j].label)) {
+        dead[i] = true;
+        break;
+      }
+  std::vector<Transition> kept;
+  for (std::size_t i = 0; i < ts.size(); ++i)
+    if (!dead[i]) kept.push_back(ts[i]);
+  return kept;
+}
+
+// The order Semantics::canonicalize() sorts a fan into.
+bool canonical_less(const Transition& a, const Transition& b) {
+  const auto key = [](const Transition& t) {
+    return std::tuple(static_cast<int>(t.label.kind), t.label.action,
+                      t.label.event * 2u + (t.label.send ? 1u : 0u),
+                      static_cast<std::uint32_t>(t.label.priority),
+                      t.target);
+  };
+  return key(a) < key(b);
+}
+
+TEST(Preemption, LabelRunsMatchPairwiseReference) {
+  Context ctx;
+  const auto act = [&](std::initializer_list<std::pair<const char*, Priority>>
+                           rs) {
+    std::vector<ResourceUse> uses;
+    for (auto& [name, p] : rs) uses.push_back({ctx.resource(name), p});
+    return Label::make_action(ctx.actions().intern(std::move(uses)));
+  };
+  const Event e = ctx.event("e");
+  const Event f = ctx.event("f");
+  const Event g = ctx.event("g");
+  // Idle and non-idle actions (comparable and incomparable ones), sends and
+  // receives of one event at several priorities, and taus of equal
+  // priority from different source events (distinct labels that do not
+  // preempt each other).
+  const std::vector<Label> pool{
+      Label::make_action(kIdleAction),
+      act({{"cpu", 0}}),
+      act({{"cpu", 1}}),
+      act({{"cpu", 3}}),
+      act({{"bus", 2}}),
+      act({{"cpu", 1}, {"bus", 2}}),
+      act({{"cpu", 3}, {"bus", 1}}),
+      Label::make_event(e, true, 0),
+      Label::make_event(e, true, 2),
+      Label::make_event(e, false, 1),
+      Label::make_event(e, false, 3),
+      Label::make_event(f, true, 1),
+      Label::make_tau(e, 0),
+      Label::make_tau(f, 2),
+      Label::make_tau(g, 2),
+      Label::make_tau(g, 1),
+  };
+
+  std::vector<LabelRun> runs;  // reused across calls, as Semantics does
+  std::uint64_t total_checks = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    util::Xoshiro256 rng(seed);
+    const std::size_t n = rng() % 48;
+    // Some fans draw from a small slice of the pool, so runs get long.
+    const std::size_t labels = 1 + rng() % pool.size();
+    std::vector<Transition> fan;
+    for (std::size_t i = 0; i < n; ++i)
+      fan.push_back(Transition{pool[rng() % labels],
+                               static_cast<TermId>(rng() % 16)});
+
+    std::vector<Transition> sorted = fan;
+    std::sort(sorted.begin(), sorted.end(), canonical_less);
+    for (std::vector<Transition>* ts : {&sorted, &fan}) {
+      const std::vector<Transition> want =
+          pairwise_reference(ctx.actions(), *ts);
+      total_checks += prioritize(ctx.actions(), *ts, runs);
+      EXPECT_EQ(*ts, want) << "seed " << seed
+                           << (ts == &fan ? " shuffled" : " sorted");
+    }
+  }
+  EXPECT_GT(total_checks, 0u);
+}
+
+TEST(Preemption, FanOverFewLabelsCostsLabelPairsNotTransitionPairs) {
+  // Two components that only ever take timed steps: 100 alternatives on
+  // cpu at 3 priorities and 200 on bus at 5. Par3 combines them into
+  // 20,000 transitions that carry 3 * 5 = 15 distinct action labels, the
+  // shape of cruise control's widest fan.
+  Context ctx;
+  TermTable& tt = ctx.terms();
+  const Resource cpu = ctx.resource("cpu");
+  const Resource bus = ctx.resource("bus");
+  // Each alternative continues into its own term, so no two of the 20,000
+  // combinations coincide.
+  const auto component = [&](Resource r, int alternatives, int priorities) {
+    const Event next = ctx.event("next");
+    std::vector<TermId> alts;
+    for (int i = 0; i < alternatives; ++i)
+      alts.push_back(tt.act(ctx.actions().intern({{r, 1 + i % priorities}}),
+                            tt.evt(next, r == cpu, i, kNil)));
+    return tt.choice(alts);
+  };
+  const TermId sys =
+      tt.parallel({component(cpu, 100, 3), component(bus, 200, 5)});
+
+  Semantics sem(ctx);
+  const auto fan = sem.prioritized(sys);
+  const Semantics::Stats& st = sem.stats();
+  EXPECT_EQ(st.raw_transitions, 20'000u);
+  // Only (cpu,3) + (bus,5) survives: 33 cpu alternatives times 40 bus ones.
+  EXPECT_EQ(st.kept_transitions, 33u * 40u);
+  EXPECT_EQ(fan.size(), 33u * 40u);
+  EXPECT_GT(st.preemption_checks, 0u);
+  EXPECT_LE(st.preemption_checks, 15u * 15u);
 }
 
 }  // namespace

@@ -140,6 +140,38 @@ TEST_F(TermTest, DisjointnessAndMerge) {
   EXPECT_EQ(at.merge(kIdleAction, a), a);
 }
 
+TEST_F(TermTest, MergeIsMemoizedByPair) {
+  const ActionId a = action({{"cpu", 1}});
+  const ActionId b = action({{"bus", 2}, {"net", 1}});
+  const ActionId c = action({{"dsp", 3}});
+  auto& at = ctx.actions();
+
+  // A merge whose union is already interned finds it and adds only a memo
+  // entry, which counts toward the memory estimate.
+  const ActionId ab = action({{"bus", 2}, {"cpu", 1}, {"net", 1}});
+  const std::size_t size = at.size();
+  const std::size_t bytes = at.approx_bytes();
+  EXPECT_EQ(at.merge(a, b), ab);
+  EXPECT_EQ(at.size(), size);
+  EXPECT_GT(at.approx_bytes(), bytes);
+
+  // The first merge of a new pair interns the union; repeating it, in
+  // either order, returns the same id without interning anything.
+  const ActionId ac = at.merge(a, c);
+  EXPECT_EQ(at.size(), size + 1);
+  EXPECT_EQ(at.merge(a, c), ac);
+  EXPECT_EQ(at.merge(c, a), ac);
+  EXPECT_EQ(at.merge(b, a), ab);
+  EXPECT_EQ(at.size(), size + 1);
+  EXPECT_EQ(ac, action({{"dsp", 3}, {"cpu", 1}}));
+
+  // The idle action is neutral and short-circuits.
+  EXPECT_EQ(at.merge(kIdleAction, ac), ac);
+  EXPECT_EQ(at.merge(ac, kIdleAction), ac);
+  EXPECT_EQ(at.merge(kIdleAction, kIdleAction), kIdleAction);
+  EXPECT_EQ(at.size(), size + 1);
+}
+
 TEST_F(TermTest, PreemptionOrderOnActions) {
   auto& at = ctx.actions();
   const ActionId idle = kIdleAction;

@@ -25,6 +25,8 @@ class PreemptionTest : public ::testing::Test {
   }
 
   Label act(ActionId a) { return Label::make_action(a); }
+
+  std::vector<LabelRun> runs;  // prioritize()'s scratch
 };
 
 TEST_F(PreemptionTest, CleanActionsPreemptAsExpected) {
@@ -101,7 +103,7 @@ TEST_F(PreemptionTest, PrioritizeKeepsMaximalSet) {
   ts.push_back({act(action({{"cpu", 1}})), kNil});
   ts.push_back({act(action({{"cpu", 2}})), kNil});
   ts.push_back({act(action({{"bus", 1}})), kNil});  // incomparable
-  prioritize(ctx.actions(), ts);
+  prioritize(ctx.actions(), ts, runs);
   ASSERT_EQ(ts.size(), 2u);
   EXPECT_EQ(ts[0].label.action, action({{"cpu", 2}}));
   EXPECT_EQ(ts[1].label.action, action({{"bus", 1}}));
@@ -109,10 +111,10 @@ TEST_F(PreemptionTest, PrioritizeKeepsMaximalSet) {
 
 TEST_F(PreemptionTest, PrioritizeOnEmptyAndSingleton) {
   std::vector<Transition> empty;
-  prioritize(ctx.actions(), empty);
+  prioritize(ctx.actions(), empty, runs);
   EXPECT_TRUE(empty.empty());
   std::vector<Transition> one{{act(kIdleAction), kNil}};
-  prioritize(ctx.actions(), one);
+  prioritize(ctx.actions(), one, runs);
   EXPECT_EQ(one.size(), 1u);
 }
 
