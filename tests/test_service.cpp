@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -587,6 +588,50 @@ TEST(Service, MalformedLineIsAProtocolError) {
   EXPECT_EQ(stat(stats_of(svc), "protocol_errors"), 1);
   // The service survives and still serves.
   EXPECT_TRUE(svc.handle(analyze(tiny_model(2, 10, 10))).ok);
+}
+
+// The `stats` response bytes are a contract: perfbench, service_smoke.sh and
+// cache_soak.sh match them as strings (the smoke script takes the *first*
+// `"stores": `, so key order matters). A fixed request sequence on a fresh
+// service must render exactly this line once the wall-clock doubles
+// (latency percentiles, uptime) are blanked.
+TEST(Service, StatsResponseBytesArePinned) {
+  Service svc;
+  const std::string line =
+      server::render_request(analyze(tiny_model(2, 10, 10), "g"));
+  svc.handle_line(line);  // miss: explored and stored
+  svc.handle_line(line);  // memory hit
+  svc.handle_line("{not json");
+  // The worker answers its waiters before it leaves `in_flight`; reading
+  // stats_json() directly counts no request.
+  for (int i = 0; i < 200 && stat(stats_of(svc), "in_flight") != 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  std::string out = svc.handle_line(R"({"op": "stats", "id": "s"})");
+  for (const char* key : {"\"p50_ms\": ", "\"p95_ms\": ", "\"max_ms\": ",
+                          "\"uptime_ms\": "}) {
+    const std::size_t at = out.find(key);
+    ASSERT_NE(at, std::string::npos) << key << " missing: " << out;
+    const std::size_t from = at + std::string(key).size();
+    const std::size_t to = out.find_first_of(",}", from);
+    out.replace(from, to - from, "_");
+  }
+  EXPECT_EQ(out,
+            R"({"v": 1, "op": "stats", "id": "s", "ok": true, "stats": {)"
+      R"("requests": 4, "analyze_requests": 2, "analyses_run": 1, )"
+      R"("cache": {"hits_memory": 1, "hits_disk": 0, "misses": 1, )"
+      R"("stores": 1, "evictions": 0, "corrupt_evictions": 0, )"
+      R"("disk_store_failures": 0, "entries": 1}, )"
+      R"("checkpoints": {"hits": 0, "misses": 0, "stores": 0, )"
+      R"("resume_failures": 0, "evictions": 0, "corrupt_evictions": 0, )"
+      R"("disk_store_failures": 0, "entries": 0}, )"
+      R"("gc": {"runs": 0, "removed_files": 0, "removed_bytes": 0, )"
+      R"("remove_failures": 0, "tmp_swept": 0}, "shared": {"instances": 0}, )"
+      R"("symbolic": {"runs": 0, "zones": 0, "subsumptions": 0, )"
+      R"("max_dbm_dimension": 0}, "coalesced": 0, "protocol_errors": 1, )"
+      R"("outcomes": {"error": 0, "schedulable": 2, "not_schedulable": 0, )"
+      R"("inconclusive": 0}, "in_flight": 0, "queue_depth": 0, )"
+      R"("latency": {"samples": 2, "window": 2, "p50_ms": _, "p95_ms": _, )"
+      R"("max_ms": _}, "uptime_ms": _}})");
 }
 
 // --- symbolic engine at the service layer (DESIGN.md §16) ---------------
