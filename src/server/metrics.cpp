@@ -1,215 +1,123 @@
 #include "server/metrics.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <string_view>
 
 #include "util/json.hpp"
 
 namespace aadlsched::server {
 
-std::string StatsSnapshot::render_json() const {
+namespace {
+
+constexpr std::size_t kStats = static_cast<std::size_t>(Stat::kCount);
+
+// One row per Stat, in enum order; an empty section is a top-level key.
+struct Row {
+  std::string_view section, key;
+};
+constexpr Row kRows[] = {
+    {"", "requests"}, {"", "analyze_requests"}, {"", "analyses_run"},
+    {"cache", "hits_memory"}, {"cache", "hits_disk"}, {"cache", "misses"},
+    {"cache", "stores"}, {"cache", "evictions"},
+    {"cache", "corrupt_evictions"}, {"cache", "disk_store_failures"},
+    {"cache", "entries"},
+    {"checkpoints", "hits"}, {"checkpoints", "misses"},
+    {"checkpoints", "stores"}, {"checkpoints", "resume_failures"},
+    {"checkpoints", "evictions"}, {"checkpoints", "corrupt_evictions"},
+    {"checkpoints", "disk_store_failures"}, {"checkpoints", "entries"},
+    {"gc", "runs"}, {"gc", "removed_files"}, {"gc", "removed_bytes"},
+    {"gc", "remove_failures"}, {"gc", "tmp_swept"},
+    {"shared", "instances"},
+    {"symbolic", "runs"}, {"symbolic", "zones"}, {"symbolic", "subsumptions"},
+    {"symbolic", "max_dbm_dimension"},
+    {"", "coalesced"}, {"", "protocol_errors"},
+    {"outcomes", "error"}, {"outcomes", "schedulable"},
+    {"outcomes", "not_schedulable"}, {"outcomes", "inconclusive"},
+    {"", "in_flight"}, {"", "queue_depth"},
+};
+static_assert(std::size(kRows) == kStats, "one row per Stat");
+static_assert(int(Stat::OutcomeInconclusive) - int(Stat::OutcomeError) ==
+              int(core::Outcome::Inconclusive));
+
+constexpr std::size_t idx(Stat id) { return static_cast<std::size_t>(id); }
+
+}  // namespace
+
+void Metrics::add(std::initializer_list<Stat> ids, std::int64_t n) {
+  std::lock_guard lock(mu_);
+  for (const Stat id : ids) s_[idx(id)] += static_cast<std::uint64_t>(n);
+}
+
+void Metrics::raise(Stat id, std::uint64_t v) {
+  std::lock_guard lock(mu_);
+  s_[idx(id)] = std::max(s_[idx(id)], v);
+}
+
+void Metrics::served(core::Outcome o, double latency_ms) {
+  std::lock_guard lock(mu_);
+  ++s_[idx(Stat::OutcomeError) + static_cast<std::size_t>(o)];
+  if (latency_ring_.size() < kLatencyRing) {
+    latency_ring_.push_back(latency_ms);
+  } else {
+    latency_ring_[latency_next_] = latency_ms;
+    latency_next_ = (latency_next_ + 1) % kLatencyRing;
+  }
+  ++latency_total_;
+  latency_max_ = std::max(latency_max_, latency_ms);
+}
+
+std::string Metrics::render_json(Gauges owned) const {
+  std::uint64_t v[kStats];
+  std::vector<double> ring;
+  std::uint64_t samples = 0;
+  double max_ms = 0;
+  {
+    std::lock_guard lock(mu_);
+    std::copy(std::begin(s_), std::end(s_), v);
+    ring = latency_ring_;
+    samples = latency_total_;
+    max_ms = latency_max_;
+  }
+  for (const auto& [id, value] : owned) v[idx(id)] = value;
+
   util::JsonWriter w;
   w.begin_object();
-  w.key("requests").value(requests);
-  w.key("analyze_requests").value(analyze_requests);
-  w.key("analyses_run").value(analyses_run);
-  w.key("cache").begin_object();
-  w.key("hits_memory").value(cache_hits_memory);
-  w.key("hits_disk").value(cache_hits_disk);
-  w.key("misses").value(cache_misses);
-  w.key("stores").value(cache_stores);
-  w.key("evictions").value(cache_evictions);
-  w.key("corrupt_evictions").value(cache_corrupt_evictions);
-  w.key("disk_store_failures").value(cache_disk_store_failures);
-  w.key("entries").value(cache_entries);
-  w.end_object();
-  w.key("checkpoints").begin_object();
-  w.key("hits").value(checkpoint_hits);
-  w.key("misses").value(checkpoint_misses);
-  w.key("stores").value(checkpoint_stores);
-  w.key("resume_failures").value(checkpoint_resume_failures);
-  w.key("evictions").value(checkpoint_evictions);
-  w.key("corrupt_evictions").value(checkpoint_corrupt_evictions);
-  w.key("disk_store_failures").value(checkpoint_disk_store_failures);
-  w.key("entries").value(checkpoint_entries);
-  w.end_object();
-  w.key("gc").begin_object();
-  w.key("runs").value(gc_runs);
-  w.key("removed_files").value(gc_removed_files);
-  w.key("removed_bytes").value(gc_removed_bytes);
-  w.key("remove_failures").value(gc_remove_failures);
-  w.key("tmp_swept").value(gc_tmp_swept);
-  w.end_object();
-  w.key("shared").begin_object();
-  w.key("instances").value(shared_instances);
-  w.end_object();
-  w.key("symbolic").begin_object();
-  w.key("runs").value(symbolic_runs);
-  w.key("zones").value(symbolic_zones);
-  w.key("subsumptions").value(symbolic_subsumptions);
-  w.key("max_dbm_dimension").value(symbolic_max_dbm_dimension);
-  w.end_object();
-  w.key("coalesced").value(coalesced);
-  w.key("protocol_errors").value(protocol_errors);
-  w.key("outcomes").begin_object();
-  w.key("error").value(outcomes[static_cast<int>(core::Outcome::Error)]);
-  w.key("schedulable")
-      .value(outcomes[static_cast<int>(core::Outcome::Schedulable)]);
-  w.key("not_schedulable")
-      .value(outcomes[static_cast<int>(core::Outcome::NotSchedulable)]);
-  w.key("inconclusive")
-      .value(outcomes[static_cast<int>(core::Outcome::Inconclusive)]);
-  w.end_object();
-  w.key("in_flight").value(in_flight);
-  w.key("queue_depth").value(queue_depth);
+  std::string_view open;  // the section object currently open, if any
+  for (std::size_t i = 0; i < kStats; ++i) {
+    if (kRows[i].section != open) {
+      if (!open.empty()) w.end_object();
+      open = kRows[i].section;
+      if (!open.empty()) w.key(open).begin_object();
+    }
+    w.key(kRows[i].key).value(v[i]);
+  }
+  if (!open.empty()) w.end_object();
+
+  double p50_ms = 0, p95_ms = 0;
+  if (!ring.empty()) {
+    std::sort(ring.begin(), ring.end());
+    const auto pct = [&](double p) {
+      const std::size_t at = static_cast<std::size_t>(
+          p * static_cast<double>(ring.size() - 1) + 0.5);
+      return ring[std::min(at, ring.size() - 1)];
+    };
+    p50_ms = pct(0.50);
+    p95_ms = pct(0.95);
+  }
   w.key("latency").begin_object();
-  w.key("samples").value(latency_samples);
-  // Percentiles cover only the last `window` samples; `samples` is
-  // all-time (see StatsSnapshot::latency_window).
-  w.key("window").value(latency_window);
+  w.key("samples").value(samples);
+  w.key("window").value(static_cast<std::uint64_t>(ring.size()));
   w.key("p50_ms").value(p50_ms);
   w.key("p95_ms").value(p95_ms);
   w.key("max_ms").value(max_ms);
   w.end_object();
-  w.key("uptime_ms").value(uptime_ms);
+  w.key("uptime_ms")
+      .value(std::chrono::duration<double, std::milli>(
+                 std::chrono::steady_clock::now() - start_)
+                 .count());
   w.end_object();
   return std::move(w).str();
-}
-
-void Metrics::record_request(Op op) {
-  std::lock_guard lock(mu_);
-  ++s_.requests;
-  if (op == Op::Analyze) ++s_.analyze_requests;
-}
-
-void Metrics::record_analysis_run() {
-  std::lock_guard lock(mu_);
-  ++s_.analyses_run;
-}
-
-void Metrics::record_protocol_error() {
-  std::lock_guard lock(mu_);
-  ++s_.requests;  // a malformed line is still a served request
-  ++s_.protocol_errors;
-}
-
-void Metrics::record_outcome(core::Outcome o) {
-  std::lock_guard lock(mu_);
-  ++s_.outcomes[static_cast<int>(o)];
-}
-
-void Metrics::record_hit(bool disk_tier) {
-  std::lock_guard lock(mu_);
-  if (disk_tier)
-    ++s_.cache_hits_disk;
-  else
-    ++s_.cache_hits_memory;
-}
-
-void Metrics::record_miss() {
-  std::lock_guard lock(mu_);
-  ++s_.cache_misses;
-}
-
-void Metrics::record_store() {
-  std::lock_guard lock(mu_);
-  ++s_.cache_stores;
-}
-
-void Metrics::record_checkpoint_hit() {
-  std::lock_guard lock(mu_);
-  ++s_.checkpoint_hits;
-}
-
-void Metrics::record_checkpoint_miss() {
-  std::lock_guard lock(mu_);
-  ++s_.checkpoint_misses;
-}
-
-void Metrics::record_checkpoint_store() {
-  std::lock_guard lock(mu_);
-  ++s_.checkpoint_stores;
-}
-
-void Metrics::record_checkpoint_resume_failure() {
-  std::lock_guard lock(mu_);
-  ++s_.checkpoint_resume_failures;
-}
-
-void Metrics::record_symbolic_run(std::uint64_t zones,
-                                  std::uint64_t subsumptions,
-                                  std::uint64_t dbm_dimension) {
-  std::lock_guard lock(mu_);
-  ++s_.symbolic_runs;
-  s_.symbolic_zones += zones;
-  s_.symbolic_subsumptions += subsumptions;
-  s_.symbolic_max_dbm_dimension =
-      std::max(s_.symbolic_max_dbm_dimension, dbm_dimension);
-}
-
-void Metrics::record_coalesced() {
-  std::lock_guard lock(mu_);
-  ++s_.coalesced;
-}
-
-void Metrics::record_latency_ms(double ms) {
-  std::lock_guard lock(mu_);
-  if (latency_ring_.size() < kLatencyRing) {
-    latency_ring_.push_back(ms);
-  } else {
-    latency_ring_[latency_next_] = ms;
-    latency_next_ = (latency_next_ + 1) % kLatencyRing;
-  }
-  ++latency_total_;
-  latency_max_ = std::max(latency_max_, ms);
-}
-
-void Metrics::in_flight_delta(int d) {
-  std::lock_guard lock(mu_);
-  s_.in_flight += static_cast<std::uint64_t>(d);
-}
-
-void Metrics::queue_depth_delta(int d) {
-  std::lock_guard lock(mu_);
-  s_.queue_depth += static_cast<std::uint64_t>(d);
-}
-
-StatsSnapshot Metrics::snapshot(const CacheGauges& gauges) const {
-  std::lock_guard lock(mu_);
-  StatsSnapshot out = s_;
-  out.cache_evictions = gauges.cache_evictions;
-  out.cache_entries = gauges.cache_entries;
-  out.cache_corrupt_evictions = gauges.cache_corrupt_evictions;
-  out.cache_disk_store_failures = gauges.cache_disk_store_failures;
-  out.checkpoint_evictions = gauges.checkpoint_evictions;
-  out.checkpoint_entries = gauges.checkpoint_entries;
-  out.checkpoint_corrupt_evictions = gauges.checkpoint_corrupt_evictions;
-  out.checkpoint_disk_store_failures = gauges.checkpoint_disk_store_failures;
-  out.gc_runs = gauges.gc_runs;
-  out.gc_removed_files = gauges.gc_removed_files;
-  out.gc_removed_bytes = gauges.gc_removed_bytes;
-  out.gc_remove_failures = gauges.gc_remove_failures;
-  out.gc_tmp_swept = gauges.gc_tmp_swept;
-  out.shared_instances = gauges.shared_instances;
-  out.analyses_run = s_.analyses_run;
-  out.latency_samples = latency_total_;
-  out.latency_window = latency_ring_.size();
-  out.max_ms = latency_max_;
-  if (!latency_ring_.empty()) {
-    std::vector<double> sorted = latency_ring_;
-    std::sort(sorted.begin(), sorted.end());
-    const auto pct = [&](double p) {
-      const std::size_t idx = static_cast<std::size_t>(
-          p * static_cast<double>(sorted.size() - 1) + 0.5);
-      return sorted[std::min(idx, sorted.size() - 1)];
-    };
-    out.p50_ms = pct(0.50);
-    out.p95_ms = pct(0.95);
-  }
-  out.uptime_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start_)
-          .count();
-  return out;
 }
 
 }  // namespace aadlsched::server

@@ -1,140 +1,77 @@
-// Service observability: monotonic counters plus a bounded latency sample
-// ring, snapshotted into the `stats` response. One mutex guards the whole
-// structure — every update is a handful of integer stores, so contention is
-// irrelevant next to an analysis run, and a single lock makes the snapshot
-// internally consistent (hits + misses == analyze lookups, always).
-//
-// Counters are cumulative since service start and never decrease (the
-// concurrent-use test asserts monotonicity across snapshots); gauges
-// (in_flight, queue_depth) float freely.
+// Service observability: one ordered table of integer stats plus a bounded
+// latency sample ring, rendered as the `stats` response. One mutex guards
+// it all — updates are a few integer stores, and a single lock keeps a
+// rendered snapshot consistent (hits + misses == lookups). Counters only
+// grow (the concurrent-use test asserts it); gauges float freely.
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/analyzer.hpp"
-#include "server/protocol.hpp"
 
 namespace aadlsched::server {
 
-struct StatsSnapshot {
-  // Counters.
-  std::uint64_t requests = 0;          // all ops
-  std::uint64_t analyze_requests = 0;  // op == analyze
-  std::uint64_t analyses_run = 0;      // actually explored (miss, post-coalesce)
-  std::uint64_t cache_hits_memory = 0;
-  std::uint64_t cache_hits_disk = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_stores = 0;
-  std::uint64_t cache_evictions = 0;
-  /// Corrupt disk-cache files quarantined on load (cache self-healing).
-  std::uint64_t cache_corrupt_evictions = 0;
-  /// Result-store disk writes that never landed (tmp write/rename failed).
-  std::uint64_t cache_disk_store_failures = 0;
+/// Every integer stat, in the order the `stats` object renders it (one
+/// `{section, key}` row each in metrics.cpp). The rendered bytes are a
+/// contract: scripts and perfbench match the keys as strings.
+enum class Stat : std::uint8_t {
+  Requests, AnalyzeRequests,  // all ops (malformed lines too); analyze ops
+  AnalysesRun,                // explored: a miss that was not coalesced
+  CacheHitsMemory, CacheHitsDisk, CacheMisses, CacheStores,
+  CacheEvictions, CacheCorruptEvictions, CacheDiskStoreFailures, CacheEntries,
   // Warm re-exploration (checkpoint tier, DESIGN.md §12).
-  std::uint64_t checkpoint_hits = 0;    // resume requests served a checkpoint
-  std::uint64_t checkpoint_misses = 0;  // resume requested, none available
-  std::uint64_t checkpoint_stores = 0;  // budget-bound runs checkpointed
-  std::uint64_t checkpoint_resume_failures = 0;  // restore rejected; ran cold
-  std::uint64_t checkpoint_evictions = 0;
-  std::uint64_t checkpoint_corrupt_evictions = 0;  // digest-failed .ckpt files
-  std::uint64_t checkpoint_disk_store_failures = 0;
-  // Shared-directory maintenance (DESIGN.md §15): size-budgeted GC plus
-  // tmp hygiene, accumulated by the DiskJanitor across sweeps.
-  std::uint64_t gc_runs = 0;
-  std::uint64_t gc_removed_files = 0;
-  std::uint64_t gc_removed_bytes = 0;
-  std::uint64_t gc_remove_failures = 0;
-  std::uint64_t gc_tmp_swept = 0;
-  // Symbolic engine (DESIGN.md §16): runs that used the state-class engine,
-  // cumulative zones/subsumptions across them, and the largest DBM seen.
-  std::uint64_t symbolic_runs = 0;
-  std::uint64_t symbolic_zones = 0;
-  std::uint64_t symbolic_subsumptions = 0;
-  std::uint64_t symbolic_max_dbm_dimension = 0;
-  std::uint64_t coalesced = 0;  // requests that piggybacked an in-flight run
-  std::uint64_t protocol_errors = 0;
-  std::uint64_t outcomes[4] = {0, 0, 0, 0};  // indexed by core::Outcome
-  // Gauges.
-  std::uint64_t in_flight = 0;    // analyses executing right now
-  std::uint64_t queue_depth = 0;  // admitted but not yet executing
-  std::uint64_t cache_entries = 0;
-  std::uint64_t checkpoint_entries = 0;
-  /// Live daemons registered on this cache directory (self included; 0
-  /// when the disk tier is off).
-  std::uint64_t shared_instances = 0;
-  // Latency of served analyze requests (submit -> response), milliseconds.
-  // `latency_samples` counts every sample ever recorded; the percentiles
-  // are computed over only the most recent `latency_window` samples (the
-  // bounded ring, Metrics::kLatencyRing). A long soak that trusts p50/p95
-  // as all-time aggregates would misread them — the stats JSON carries the
-  // window explicitly so consumers can tell recent from cumulative.
-  std::uint64_t latency_samples = 0;
-  std::uint64_t latency_window = 0;  // samples behind p50/p95 (<= ring size)
-  double p50_ms = 0;
-  double p95_ms = 0;
-  double max_ms = 0;
-  double uptime_ms = 0;
-
-  /// Render as the `stats` JSON object (the last member of the stats
-  /// response line).
-  std::string render_json() const;
+  CheckpointHits, CheckpointMisses, CheckpointStores, CheckpointResumeFailures,
+  CheckpointEvictions, CheckpointCorruptEvictions,
+  CheckpointDiskStoreFailures, CheckpointEntries,
+  // Shared-directory maintenance (DESIGN.md §15), owned by the DiskJanitor.
+  GcRuns, GcRemovedFiles, GcRemovedBytes, GcRemoveFailures, GcTmpSwept,
+  SharedInstances,  // live daemons on the cache dir (0 without a disk tier)
+  // Symbolic engine (DESIGN.md §16); the DBM dimension is a high-water mark.
+  SymbolicRuns, SymbolicZones, SymbolicSubsumptions, SymbolicMaxDbmDimension,
+  Coalesced,  // requests that piggybacked an in-flight run
+  ProtocolErrors,
+  // In core::Outcome order.
+  OutcomeError, OutcomeSchedulable, OutcomeNotSchedulable, OutcomeInconclusive,
+  InFlight, QueueDepth,  // gauges: executing now; admitted, not yet running
+  kCount
 };
 
 class Metrics {
  public:
-  Metrics() : start_(std::chrono::steady_clock::now()) {}
+  /// Stat values owned elsewhere (caches, janitor), set at render time.
+  using Gauges = std::initializer_list<std::pair<Stat, std::uint64_t>>;
 
-  void record_request(Op op);
-  void record_analysis_run();
-  void record_protocol_error();
-  void record_outcome(core::Outcome o);
-  void record_hit(bool disk_tier);
-  void record_miss();
-  void record_store();
-  void record_checkpoint_hit();
-  void record_checkpoint_miss();
-  void record_checkpoint_store();
-  void record_checkpoint_resume_failure();
-  void record_symbolic_run(std::uint64_t zones, std::uint64_t subsumptions,
-                           std::uint64_t dbm_dimension);
-  void record_coalesced();
-  void record_latency_ms(double ms);
-  void in_flight_delta(int d);
-  void queue_depth_delta(int d);
+  /// Adds `n` to each of `ids` under one lock; gauges take negative `n`.
+  void add(std::initializer_list<Stat> ids, std::int64_t n = 1);
+  /// Raises the high-water mark `id` to at least `v`.
+  void raise(Stat id, std::uint64_t v);
+  /// One served analyze response: counts its outcome and samples its
+  /// submit-to-response latency.
+  void served(core::Outcome o, double latency_ms);
 
-  /// Numbers the caches own, sampled at snapshot time.
-  struct CacheGauges {
-    std::uint64_t cache_evictions = 0;
-    std::uint64_t cache_entries = 0;
-    std::uint64_t cache_corrupt_evictions = 0;
-    std::uint64_t cache_disk_store_failures = 0;
-    std::uint64_t checkpoint_evictions = 0;
-    std::uint64_t checkpoint_entries = 0;
-    std::uint64_t checkpoint_corrupt_evictions = 0;
-    std::uint64_t checkpoint_disk_store_failures = 0;
-    std::uint64_t gc_runs = 0;
-    std::uint64_t gc_removed_files = 0;
-    std::uint64_t gc_removed_bytes = 0;
-    std::uint64_t gc_remove_failures = 0;
-    std::uint64_t gc_tmp_swept = 0;
-    std::uint64_t shared_instances = 0;
-  };
-  StatsSnapshot snapshot(const CacheGauges& gauges) const;
+  /// The `stats` object: the table with `owned` written over it, then the
+  /// latency window and uptime. `latency.samples` is all-time; p50/p95 cover
+  /// only the last `latency.window` samples, not the whole soak.
+  std::string render_json(Gauges owned = {}) const;
 
  private:
   static constexpr std::size_t kLatencyRing = 4096;
 
   mutable std::mutex mu_;
-  StatsSnapshot s_;  // counters/gauges only; latency fields filled at snapshot
+  std::uint64_t s_[static_cast<std::size_t>(Stat::kCount)] = {};
   std::vector<double> latency_ring_;
   std::size_t latency_next_ = 0;
   std::uint64_t latency_total_ = 0;
   double latency_max_ = 0;
-  std::chrono::steady_clock::time_point start_;
+  std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
 };
 
 }  // namespace aadlsched::server

@@ -38,9 +38,10 @@ std::string options_key(const RequestOptions& ro) {
   // inside the symbolic fragment, but result objects differ in their
   // engine-observability fields ("engine", states-as-zones), so one key
   // must never serve both.
-  // `workers` is deliberately absent: the worker count cannot change a
-  // result (explore_parallel runs the one serial BFS loop), so a result
-  // computed with any count may serve them all.
+  // `workers` is deliberately absent: the service does not forward it to
+  // the analyzer (every request explores with the default options), and no
+  // worker count could change a result anyway (explore_parallel runs the
+  // one serial BFS loop), so a result may serve a request with any count.
   // ReductionEquivalence.ResultJsonIsByteIdenticalOnEveryExampleModel
   // holds that to byte identity on every shipped model.
   std::uint64_t h = util::fnv1a("options-v4");
@@ -209,15 +210,15 @@ core::AnalyzerOptions Service::analyzer_options(
     mem_mb = mem_mb > 0 ? std::min(mem_mb, cfg_.memory_budget_mb_cap)
                         : cfg_.memory_budget_mb_cap;
   opts.exploration.budget.memory_bytes = mem_mb * 1024 * 1024;
-  const std::size_t max_w = std::max<std::size_t>(1, cfg_.max_request_workers);
-  opts.parallel.workers =
-      ro.workers == 0 ? max_w : std::min(ro.workers, max_w);
   return opts;
 }
 
 std::future<Response> Service::submit(Request req) {
   const Clock::time_point t0 = Clock::now();
-  metrics_.record_request(req.op);
+  if (req.op == Op::Analyze)
+    metrics_.add({Stat::Requests, Stat::AnalyzeRequests});
+  else
+    metrics_.add({Stat::Requests});
 
   const auto immediate = [&](Response resp) {
     std::promise<Response> p;
@@ -271,8 +272,7 @@ std::future<Response> Service::submit(Request req) {
     resp.cache_tier = "none";
     resp.result_json = core::render_result_json(err);
     resp.served_ms = ms_since(t0);
-    metrics_.record_outcome(core::Outcome::Error);
-    metrics_.record_latency_ms(resp.served_ms);
+    metrics_.served(core::Outcome::Error, resp.served_ms);
     return immediate(std::move(resp));
   }
 
@@ -288,12 +288,12 @@ std::future<Response> Service::submit(Request req) {
       resp.cache_tier = hit->from_disk ? "disk" : "memory";
       resp.result_json = std::move(hit->result_json);
       resp.served_ms = ms_since(t0);
-      metrics_.record_hit(hit->from_disk);
-      metrics_.record_outcome(hit->outcome);
-      metrics_.record_latency_ms(resp.served_ms);
+      metrics_.add(
+          {hit->from_disk ? Stat::CacheHitsDisk : Stat::CacheHitsMemory});
+      metrics_.served(hit->outcome, resp.served_ms);
       return immediate(std::move(resp));
     }
-    metrics_.record_miss();
+    metrics_.add({Stat::CacheMisses});
   }
 
   const bool small = req.model.size() < cfg_.small_model_bytes;
@@ -315,7 +315,7 @@ std::future<Response> Service::submit(Request req) {
         w.t0 = t0;
         fut = w.promise.get_future();
         it->second->waiters.push_back(std::move(w));
-        metrics_.record_coalesced();
+        metrics_.add({Stat::Coalesced});
         return fut;
       }
     }
@@ -333,7 +333,7 @@ std::future<Response> Service::submit(Request req) {
     admission_.push(ticket, small);
     queued_.emplace(ticket, job);
     if (!job->req.no_cache) pending_.emplace(key, job);
-    metrics_.queue_depth_delta(+1);
+    metrics_.add({Stat::QueueDepth});
   }
   cv_.notify_one();
   return fut;
@@ -366,15 +366,14 @@ void Service::worker_loop() {
       const auto it = queued_.find(*ticket);
       job = it->second;
       queued_.erase(it);
-      metrics_.queue_depth_delta(-1);
+      metrics_.add({Stat::QueueDepth}, -1);
     }
     run_job(job);
   }
 }
 
 void Service::run_job(const std::shared_ptr<Job>& job) {
-  metrics_.in_flight_delta(+1);
-  metrics_.record_analysis_run();
+  metrics_.add({Stat::InFlight, Stat::AnalysesRun});
 
   core::AnalyzerOptions opts = analyzer_options(job->req.options);
 
@@ -395,9 +394,9 @@ void Service::run_job(const std::shared_ptr<Job>& job) {
         resume_blob = std::move(*blob);
         opts.resume_checkpoint = &resume_blob;
         resume_attempted = true;
-        metrics_.record_checkpoint_hit();
+        metrics_.add({Stat::CheckpointHits});
       } else {
-        metrics_.record_checkpoint_miss();
+        metrics_.add({Stat::CheckpointMisses});
       }
     }
   }
@@ -414,26 +413,29 @@ void Service::run_job(const std::shared_ptr<Job>& job) {
   result.diagnostics = job->parsed->front_end_output + result.diagnostics;
   const std::string result_json = core::render_result_json(result);
 
-  if (result.engine == "symbolic")
-    metrics_.record_symbolic_run(result.states, result.zone_subsumptions,
-                                 result.dbm_dimension);
+  if (result.engine == "symbolic") {
+    metrics_.add({Stat::SymbolicRuns});
+    metrics_.add({Stat::SymbolicZones}, result.states);
+    metrics_.add({Stat::SymbolicSubsumptions}, result.zone_subsumptions);
+    metrics_.raise(Stat::SymbolicMaxDbmDimension, result.dbm_dimension);
+  }
 
   if (resume_attempted && (!result.resumed || !result.ok)) {
     // The blob failed restore validation (analyze_instance fell back to a
     // cold run), or the resumed run faulted. Drop it — retrying the same
     // bytes cannot succeed.
-    metrics_.record_checkpoint_resume_failure();
+    metrics_.add({Stat::CheckpointResumeFailures});
     checkpoints_.erase(job->key);
   }
   if (use_checkpoints && result.checkpoint_captured &&
       !checkpoint_out.empty()) {
     checkpoints_.store(job->key, checkpoint_out);
-    metrics_.record_checkpoint_store();
+    metrics_.add({Stat::CheckpointStores});
   }
 
   if (!job->req.no_cache && cacheable(result.outcome)) {
     cache_.store(job->key, result.outcome, result_json);
-    metrics_.record_store();
+    metrics_.add({Stat::CacheStores});
     // A conclusive verdict supersedes any partial wavefront for this key.
     checkpoints_.erase(job->key);
   }
@@ -459,11 +461,10 @@ void Service::run_job(const std::shared_ptr<Job>& job) {
     resp.checkpoint_captured = result.checkpoint_captured;
     resp.result_json = result_json;
     resp.served_ms = ms_since(w.t0);
-    metrics_.record_outcome(result.outcome);
-    metrics_.record_latency_ms(resp.served_ms);
+    metrics_.served(result.outcome, resp.served_ms);
     w.promise.set_value(std::move(resp));
   }
-  metrics_.in_flight_delta(-1);
+  metrics_.add({Stat::InFlight}, -1);
 }
 
 Response Service::handle(Request req) { return submit(std::move(req)).get(); }
@@ -472,7 +473,7 @@ std::string Service::handle_line(std::string_view line) {
   std::string error;
   auto req = parse_request(line, error);
   if (!req) {
-    metrics_.record_protocol_error();
+    metrics_.add({Stat::Requests, Stat::ProtocolErrors});
     Response resp;
     resp.ok = false;
     resp.error = error;
@@ -482,25 +483,23 @@ std::string Service::handle_line(std::string_view line) {
 }
 
 std::string Service::stats_json() {
-  Metrics::CacheGauges g;
-  g.cache_evictions = cache_.evictions();
-  g.cache_entries = cache_.entries();
-  g.cache_corrupt_evictions = cache_.corrupt_evictions();
-  g.cache_disk_store_failures = cache_.disk_store_failures();
-  g.checkpoint_evictions = checkpoints_.evictions();
-  g.checkpoint_entries = checkpoints_.entries();
-  g.checkpoint_corrupt_evictions = checkpoints_.corrupt_evictions();
-  g.checkpoint_disk_store_failures = checkpoints_.disk_store_failures();
-  if (janitor_) {
-    const GcStats gc = janitor_->gc_stats();
-    g.gc_runs = gc.runs;
-    g.gc_removed_files = gc.removed_files;
-    g.gc_removed_bytes = gc.removed_bytes;
-    g.gc_remove_failures = gc.remove_failures;
-    g.gc_tmp_swept = gc.tmp_swept;
-    g.shared_instances = janitor_->instances_gauge();
-  }
-  return metrics_.snapshot(g).render_json();
+  const GcStats gc = janitor_ ? janitor_->gc_stats() : GcStats{};
+  return metrics_.render_json({
+      {Stat::CacheEvictions, cache_.evictions()},
+      {Stat::CacheCorruptEvictions, cache_.corrupt_evictions()},
+      {Stat::CacheDiskStoreFailures, cache_.disk_store_failures()},
+      {Stat::CacheEntries, cache_.entries()},
+      {Stat::CheckpointEvictions, checkpoints_.evictions()},
+      {Stat::CheckpointCorruptEvictions, checkpoints_.corrupt_evictions()},
+      {Stat::CheckpointDiskStoreFailures, checkpoints_.disk_store_failures()},
+      {Stat::CheckpointEntries, checkpoints_.entries()},
+      {Stat::GcRuns, gc.runs},
+      {Stat::GcRemovedFiles, gc.removed_files},
+      {Stat::GcRemovedBytes, gc.removed_bytes},
+      {Stat::GcRemoveFailures, gc.remove_failures},
+      {Stat::GcTmpSwept, gc.tmp_swept},
+      {Stat::SharedInstances, janitor_ ? janitor_->instances_gauge() : 0},
+  });
 }
 
 }  // namespace aadlsched::server

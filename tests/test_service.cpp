@@ -775,24 +775,30 @@ TEST(AdmissionQueue, PureSmallWorkloadNeverStalls) {
 // --- metrics latency window (bugfix) ------------------------------------
 
 // p50/p95 are computed over only the last kLatencyRing (4096) samples while
-// `samples` counts all-time; the snapshot and the stats JSON must say so
-// explicitly. Overfill the ring with a slow prefix that the window must
-// forget: percentiles reflect only the fast tail, max stays all-time.
+// `samples` counts all-time; the stats JSON must say so explicitly. Overfill
+// the ring with a slow prefix that the window must forget: percentiles
+// reflect only the fast tail, max stays all-time.
 TEST(Metrics, LatencyWindowIsExplicitWhenTheRingOverfills) {
   server::Metrics m;
   constexpr std::size_t kRing = 4096;
   constexpr std::size_t kSlowPrefix = 1000;
-  for (std::size_t i = 0; i < kSlowPrefix; ++i) m.record_latency_ms(500.0);
-  for (std::size_t i = 0; i < kRing; ++i) m.record_latency_ms(1.0);
+  for (std::size_t i = 0; i < kSlowPrefix; ++i)
+    m.served(core::Outcome::Schedulable, 500.0);
+  for (std::size_t i = 0; i < kRing; ++i)
+    m.served(core::Outcome::Schedulable, 1.0);
 
-  const server::StatsSnapshot s = m.snapshot({});
-  EXPECT_EQ(s.latency_samples, kSlowPrefix + kRing);  // all-time
-  EXPECT_EQ(s.latency_window, kRing);                 // percentile scope
-  EXPECT_DOUBLE_EQ(s.p50_ms, 1.0);   // the slow prefix left the window
-  EXPECT_DOUBLE_EQ(s.p95_ms, 1.0);
-  EXPECT_DOUBLE_EQ(s.max_ms, 500.0);  // max is all-time, not windowed
-
-  const std::string json = s.render_json();
+  const std::string json = m.render_json();
+  const auto s = util::parse_json(json);
+  ASSERT_TRUE(s.has_value()) << json;
+  const util::JsonValue* lat = s->get("latency");
+  ASSERT_NE(lat, nullptr) << json;
+  EXPECT_EQ(lat->get("samples")->as_int(-1),
+            static_cast<std::int64_t>(kSlowPrefix + kRing));  // all-time
+  EXPECT_EQ(lat->get("window")->as_int(-1),
+            static_cast<std::int64_t>(kRing));  // percentile scope
+  EXPECT_DOUBLE_EQ(lat->get("p50_ms")->as_double(-1), 1.0);  // prefix gone
+  EXPECT_DOUBLE_EQ(lat->get("p95_ms")->as_double(-1), 1.0);
+  EXPECT_DOUBLE_EQ(lat->get("max_ms")->as_double(-1), 500.0);  // all-time
   EXPECT_NE(json.find("\"samples\": 5096"), std::string::npos) << json;
   EXPECT_NE(json.find("\"window\": 4096"), std::string::npos) << json;
 }
@@ -801,11 +807,15 @@ TEST(Metrics, LatencyWindowIsExplicitWhenTheRingOverfills) {
 // and the counter describe the same population.
 TEST(Metrics, LatencyWindowEqualsSamplesBeforeOverflow) {
   server::Metrics m;
-  for (int i = 0; i < 10; ++i) m.record_latency_ms(2.0);
-  const server::StatsSnapshot s = m.snapshot({});
-  EXPECT_EQ(s.latency_samples, 10u);
-  EXPECT_EQ(s.latency_window, 10u);
-  EXPECT_DOUBLE_EQ(s.p50_ms, 2.0);
+  for (int i = 0; i < 10; ++i) m.served(core::Outcome::Schedulable, 2.0);
+  const auto s = util::parse_json(m.render_json());
+  ASSERT_TRUE(s.has_value());
+  const util::JsonValue* lat = s->get("latency");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->get("samples")->as_int(-1), 10);
+  EXPECT_EQ(lat->get("window")->as_int(-1), 10);
+  EXPECT_DOUBLE_EQ(lat->get("p50_ms")->as_double(-1), 2.0);
+  EXPECT_EQ(stat(*s, "outcomes", "schedulable"), 10);
 }
 
 TEST(AdmissionQueue, LargeOnlyIsFifo) {

@@ -612,6 +612,16 @@ int main(int argc, char** argv) {
                    "own checkpoint store); use --resume/--no-checkpoint\n";
       return usage();
     }
+    if (!opts.translation.latency_specs.empty()) {
+      std::cerr << "--latency is local-only (the protocol carries no "
+                   "latency requirement; the daemon would ignore it)\n";
+      return usage();
+    }
+    if (lint_only || dump_acsr || classical) {
+      std::cerr << "--lint/--acsr/--classical are local-only (the daemon "
+                   "runs a full analysis)\n";
+      return usage();
+    }
     if (connect_stats || connect_shutdown) {
       if (!files.empty() || !root.empty()) return usage();
     } else if (files.empty() || root.empty()) {
@@ -635,6 +645,10 @@ int main(int argc, char** argv) {
     if (!checkpoint_file.empty() || resume || no_checkpoint) {
       std::cerr << "checkpoint flags are per-model; they do not compose "
                    "with --batch\n";
+      return usage();
+    }
+    if (lint_only || dump_acsr || classical) {
+      std::cerr << "--lint/--acsr/--classical do not compose with --batch\n";
       return usage();
     }
     return run_batch(batch_list, batch_workers, keep_going, report_path,
